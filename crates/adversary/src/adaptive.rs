@@ -189,7 +189,7 @@ mod tests {
         let g0 = OutputAdversary::<u32>::initial_graph(&mut adv);
         // All nodes output the same value -> plenty of conflicts to attack.
         let outputs: Vec<Option<u32>> = vec![Some(7); 10];
-        let g1 = adv.next_graph(1, &g0, &outputs);
+        let g1 = adv.next_delta(1, &g0, &outputs).materialize(&g0);
         assert!(g1.num_edges() > g0.num_edges());
         assert!(adv.total_injected() > 0);
     }
@@ -201,7 +201,7 @@ mod tests {
             ConflictSeekingAdversary::new(footprint, |a: &u32, b: &u32| a == b, 5, 0.0, 3, 2);
         let g0 = OutputAdversary::<u32>::initial_graph(&mut adv);
         let outputs: Vec<Option<u32>> = (0..6).map(|i| Some(i as u32)).collect();
-        let g1 = adv.next_graph(1, &g0, &outputs);
+        let g1 = adv.next_delta(1, &g0, &outputs).materialize(&g0);
         assert_eq!(g1.num_edges(), g0.num_edges());
     }
 
@@ -250,10 +250,10 @@ mod tests {
         let g0 = OutputAdversary::<u32>::initial_graph(&mut adv);
         let conflicting: Vec<Option<u32>> = vec![Some(1); 4];
         let clean: Vec<Option<u32>> = (0..4).map(|i| Some(i as u32)).collect();
-        let g1 = adv.next_graph(1, &g0, &conflicting);
+        let g1 = adv.next_delta(1, &g0, &conflicting).materialize(&g0);
         assert!(g1.num_edges() > 0);
-        let g2 = adv.next_graph(2, &g1, &clean);
-        let g3 = adv.next_graph(3, &g2, &clean);
+        let g2 = adv.next_delta(2, &g1, &clean).materialize(&g1);
+        let g3 = adv.next_delta(3, &g2, &clean).materialize(&g2);
         assert_eq!(
             g3.num_edges(),
             0,

@@ -152,7 +152,7 @@ impl Adversary for MarkovChurnAdversary {
         self.compose()
     }
 
-    /// Whole-graph compatibility path: advances the chain exactly as
+    /// Whole-graph reference path: advances the chain exactly as
     /// [`Adversary::next_delta`] would (same RNG draws), then composes the
     /// graph from the chain state — so a phase switch from a foreign graph
     /// resets to the Markov state instead of keeping alien edges.
@@ -396,7 +396,7 @@ impl Adversary for BurstAdversary {
         self.base.clone()
     }
 
-    /// Whole-graph compatibility path: composed from the adversary's own
+    /// Whole-graph reference path: composed from the adversary's own
     /// state (base + live injections), independent of `prev` — so a
     /// [`crate::PhaseAdversary`] switching to this adversary resets the
     /// graph to its base instead of continuing from the foreign `prev`.
@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn markov_delta_and_graph_paths_agree() {
-        // The whole-graph compatibility path must consume the same RNG
+        // The whole-graph reference path must consume the same RNG
         // stream and produce the same evolution as the delta path.
         let footprint = generators::erdos_renyi_avg_degree(
             60,

@@ -8,9 +8,9 @@
 //! provides a spectrum of adversaries ranging from fully static to
 //! output-aware conflict seekers. Adversaries are *delta-native*: the round
 //! loop asks them for the round's [`dynnet_graph::GraphDelta`]
-//! ([`Adversary::next_delta`]) and patches one persistent graph, so a round
-//! costs `O(|δ|)` instead of a full graph build — the whole-graph
-//! `next_graph` interface remains as a default-bridged compatibility path.
+//! ([`Adversary::next_delta`], the one required round method) and patches
+//! one persistent graph, so a round costs `O(|δ|)` instead of a full graph
+//! build.
 //!
 //! * [`StaticAdversary`], [`ScriptedAdversary`], [`PhaseAdversary`] — static
 //!   graphs, recorded traces, and phase schedules.
@@ -25,15 +25,14 @@
 //! * [`Scenario`] / [`Runner`] — the unified execution API: builds one
 //!   complete run (algorithm + adversary + wake-up + seed + rounds) and
 //!   streams every round to pluggable [`dynnet_runtime::RoundObserver`]s.
-//! * [`drive::run`] — the legacy "record everything" entry point, now a thin
-//!   shim over the streaming path.
+//!   It is the one round loop; attach a [`dynnet_runtime::TraceRecorder`]
+//!   to record an execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
 pub mod churn;
-pub mod drive;
 pub mod locally_static;
 pub mod mobility;
 pub mod node_churn;
@@ -43,7 +42,6 @@ pub mod traits;
 
 pub use adaptive::ConflictSeekingAdversary;
 pub use churn::{BurstAdversary, FlipChurnAdversary, MarkovChurnAdversary, RateChurnAdversary};
-pub use drive::{run, ExecutionRecord};
 pub use locally_static::LocallyStaticAdversary;
 pub use mobility::{MobilityAdversary, MobilityConfig};
 pub use node_churn::{GrowthAdversary, NodeChurnAdversary};

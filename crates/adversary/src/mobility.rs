@@ -96,7 +96,7 @@ impl Adversary for MobilityAdversary {
         generators::unit_disk(&self.positions, self.radius)
     }
 
-    /// Whole-graph compatibility path: the unit-disk graph of the advanced
+    /// Whole-graph reference path: the unit-disk graph of the advanced
     /// positions, independent of `prev` (phase switches reset to the
     /// geometry instead of continuing from a foreign graph).
     fn next_graph(&mut self, _round: u64, _prev: &Graph) -> Graph {

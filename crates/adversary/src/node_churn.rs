@@ -58,7 +58,7 @@ impl Adversary for NodeChurnAdversary {
         self.compose()
     }
 
-    /// Whole-graph compatibility path: composed from the present-set state,
+    /// Whole-graph reference path: composed from the present-set state,
     /// independent of `prev` (phase switches reset to this composition).
     fn next_graph(&mut self, round: u64, prev: &Graph) -> Graph {
         let _ = self.next_delta(round, prev);
@@ -143,7 +143,7 @@ impl Adversary for GrowthAdversary {
         self.compose()
     }
 
-    /// Whole-graph compatibility path: composed from the joined-count state,
+    /// Whole-graph reference path: composed from the joined-count state,
     /// independent of `prev` (phase switches reset to this composition).
     fn next_graph(&mut self, round: u64, prev: &Graph) -> Graph {
         let _ = self.next_delta(round, prev);

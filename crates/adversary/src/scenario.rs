@@ -36,15 +36,15 @@
 //! assert_eq!(churn.series().len(), n);
 //! ```
 //!
-//! The builder produces a [`Runner`], which drives the round loop against
-//! the adversary and streams a borrowed
-//! [`RoundView`] to any number of [`RoundObserver`]s — metrics, T-dynamic
-//! verification, and trace recording plug in without the `O(n · rounds)`
-//! materialization the old `Simulator::new` + `adversary::run` +
-//! post-hoc-verify wiring required.
+//! The builder produces a [`Runner`], the workspace's one round loop: it
+//! asks the adversary for each round's delta, executes the round with
+//! [`Simulator::step_delta`], and streams a borrowed [`RoundView`] to any
+//! number of [`RoundObserver`]s — metrics, T-dynamic verification, and
+//! trace recording ([`dynnet_runtime::TraceRecorder`]) plug in without an
+//! `O(n · rounds)` materialization of the execution.
 
 use crate::traits::OutputAdversary;
-use dynnet_graph::Graph;
+use dynnet_graph::{Graph, GraphDelta};
 use dynnet_runtime::observer::{RoundObserver, RoundView};
 use dynnet_runtime::{
     AlgorithmFactory, AllAtStart, NodeAlgorithm, SimConfig, Simulator, WakeupSchedule,
@@ -57,6 +57,11 @@ use dynnet_runtime::{
 /// remaining setters are plain field updates. Terminal methods:
 /// [`Scenario::runner`] (manual stepping), [`Scenario::run`] (drive to the
 /// round budget), [`Scenario::run_until`] (drive until a predicate fires).
+///
+/// This is the way to execute rounds against an adversary: the [`Runner`]
+/// it builds is the only round loop in the workspace. Fixed topologies are
+/// [`crate::StaticAdversary`]; recorded or hand-written graph sequences are
+/// [`crate::ScriptedAdversary`].
 pub struct Scenario<F, W, Adv> {
     n: usize,
     factory: F,
@@ -269,33 +274,30 @@ where
         }
         let round = self.executed as u64;
         let _round_span = dynnet_obs::phase_span_arg("round", "round", "round", round);
-        let summary = match &mut self.current_graph {
-            None => {
-                let graph = {
-                    let _span = dynnet_obs::phase_span("round", "adv_delta");
-                    self.adversary.initial_graph()
-                };
-                let summary = self.sim.step_streaming(&graph);
-                self.current_graph = Some(graph);
-                summary
+        let (graph, delta) = match &mut self.current_graph {
+            // Round 0 has no previous graph: the simulator builds its
+            // effective CSR from the initial graph and ignores the delta.
+            slot @ None => {
+                let _span = dynnet_obs::phase_span("round", "adv_delta");
+                (
+                    slot.insert(self.adversary.initial_graph()),
+                    GraphDelta::new(),
+                )
             }
+            // The adversary sees the previous round's outputs only — never
+            // the current round's randomness (it stays 1-oblivious). It
+            // hands back the round's delta, which is applied to the
+            // persistent graph and patched into the simulator's incremental
+            // effective CSR: per-round cost is O(|δ|) on the sparse-churn
+            // path, with no graph clones and no full CSR rebuilds.
             Some(graph) => {
-                // The adversary sees the previous round's outputs only —
-                // never the current round's randomness (it stays
-                // 1-oblivious). It hands back the round's delta, which is
-                // applied to the persistent graph and patched into the
-                // simulator's incremental effective CSR: per-round cost is
-                // O(|δ|) on the sparse-churn path, with no graph clones and
-                // no full CSR rebuilds.
-                let delta = {
-                    let _span = dynnet_obs::phase_span("round", "adv_delta");
-                    let delta = self.adversary.next_delta(round, graph, self.sim.outputs());
-                    delta.apply(graph);
-                    delta
-                };
-                self.sim.step_delta(graph, &delta)
+                let _span = dynnet_obs::phase_span("round", "adv_delta");
+                let delta = self.adversary.next_delta(round, graph, self.sim.outputs());
+                delta.apply(graph);
+                (graph, delta)
             }
         };
+        let summary = self.sim.step_delta(graph, &delta);
         self.executed += 1;
         // One adjacency-Graph conversion per round, shared lazily by every
         // observer through `RoundView::current_graph`.
@@ -431,20 +433,13 @@ mod tests {
     }
 
     #[test]
-    fn scenario_matches_legacy_run() {
+    fn trace_recorder_forces_no_copy_on_write() {
+        // Recording outputs must not retain the round's graph snapshot: a
+        // retained `Arc` would force a copy of the effective CSR in every
+        // patched round.
         let n = 24;
         let footprint = generators::erdos_renyi_avg_degree(n, 4.0, &mut experiment_rng(1, "sc"));
-        let rounds = 12;
-
-        let mut sim = Simulator::new(
-            n,
-            |v: NodeId| MaxFlood(v.0),
-            dynnet_runtime::AllAtStart,
-            SimConfig::sequential(5),
-        );
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.05, 9);
-        let legacy = crate::drive::run(&mut sim, &mut adv, rounds);
-
+        let rounds = 20;
         let mut recorder = TraceRecorder::new();
         let runner = Scenario::new(n)
             .algorithm(|v: NodeId| MaxFlood(v.0))
@@ -452,18 +447,12 @@ mod tests {
             .seed(5)
             .rounds(rounds)
             .run(&mut [&mut recorder]);
+        let stats = runner.sim().delta_stats();
+        assert_eq!(stats.cow_clones, 0);
+        assert_eq!(stats.full_csr_builds + stats.rounds_patched, rounds);
         let record = recorder.into_record();
-
-        assert_eq!(runner.rounds_executed(), rounds);
-        assert_eq!(record.num_rounds(), legacy.num_rounds());
-        for r in 0..rounds {
-            assert_eq!(record.outputs_at(r), legacy.outputs_at(r), "round {r}");
-            assert_eq!(
-                record.graph_at(r).edge_vec(),
-                legacy.graph_at(r).edge_vec(),
-                "round {r}"
-            );
-        }
+        assert_eq!(record.num_rounds(), rounds);
+        assert_eq!(record.outputs_at(rounds - 1), runner.outputs());
     }
 
     #[test]

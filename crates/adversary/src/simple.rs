@@ -29,8 +29,8 @@ impl Adversary for StaticAdversary {
         self.graph.clone()
     }
 
-    /// A static network never changes: the delta is always empty (and the
-    /// per-round graph clone of the legacy path disappears entirely).
+    /// A static network never changes: the delta is always empty, so a
+    /// round costs no graph clone.
     fn next_delta(&mut self, _round: u64, _prev: &Graph) -> GraphDelta {
         GraphDelta::new()
     }

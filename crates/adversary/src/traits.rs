@@ -17,62 +17,45 @@ use dynnet_graph::{Graph, GraphDelta};
 ///
 /// The round loop is delta-native: the runner keeps one persistent graph and
 /// asks the adversary for the round's [`GraphDelta`] via
-/// [`Adversary::next_delta`]. `next_graph` and `next_delta` are mutually
-/// default-implemented — an implementation must override **at least one** of
-/// them (overriding neither recurses infinitely). Legacy adversaries that
-/// override only `next_graph` keep working (their delta is derived with
-/// [`GraphDelta::between`], `O(n + m)`); delta-native adversaries override
-/// `next_delta` and pay only `O(|δ|)` per round.
+/// [`Adversary::next_delta`], the one required round method, so a round
+/// costs `O(|δ|)`. [`Adversary::next_graph`] is provided on top of it.
 pub trait Adversary: Send {
     /// The graph for round 0.
     fn initial_graph(&mut self) -> Graph;
 
+    /// The change the adversary applies at the beginning of round
+    /// `round ≥ 1`, relative to `prev` (the graph of round `round - 1`).
+    fn next_delta(&mut self, round: u64, prev: &Graph) -> GraphDelta;
+
     /// The graph for round `round ≥ 1`, given the previous round's graph.
     ///
     /// Default: materializes [`Adversary::next_delta`] onto a copy of `prev`.
-    fn next_graph(&mut self, round: u64, prev: &Graph) -> Graph {
-        self.next_delta(round, prev).materialize(prev)
-    }
-
-    /// The change the adversary applies at the beginning of round
-    /// `round ≥ 1`, relative to `prev` (the graph of round `round - 1`).
-    ///
-    /// Default: derived from [`Adversary::next_graph`] with
-    /// [`GraphDelta::between`], so existing whole-graph adversaries keep
-    /// working unchanged.
+    /// Adversaries that compose their graph from internal state override it
+    /// to return that state whatever `prev` is: the override is the
+    /// whole-graph reference their delta path is tested against, and the
+    /// reset [`crate::PhaseAdversary`] needs at a phase switch.
     ///
     /// At most one of `next_graph` / `next_delta` is called per round; an
     /// adversary that advances internal state (RNG draws, positions) must
     /// produce the same evolution through either entry point.
-    fn next_delta(&mut self, round: u64, prev: &Graph) -> GraphDelta {
-        let next = self.next_graph(round, prev);
-        GraphDelta::between(prev, &next)
+    fn next_graph(&mut self, round: u64, prev: &Graph) -> Graph {
+        self.next_delta(round, prev).materialize(prev)
     }
 }
 
 /// An adversary that may additionally inspect the outputs published by the
 /// nodes at the end of the previous round (adaptive, but still oblivious to
-/// the current round's randomness).
-///
-/// Like [`Adversary`], the graph- and delta-producing entry points are
-/// mutually default-implemented; override at least one of them.
+/// the current round's randomness). This is the interface the `Scenario`
+/// runner drives: every [`Adversary`] is one through a blanket impl that
+/// ignores the outputs.
 pub trait OutputAdversary<O>: Send {
     /// The graph for round 0.
     fn initial_graph(&mut self) -> Graph;
 
-    /// The graph for round `round ≥ 1`, given the previous graph and the
-    /// outputs published at the end of round `round - 1` (`None` for nodes
-    /// that have not woken up).
-    fn next_graph(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> Graph {
-        self.next_delta(round, prev, outputs).materialize(prev)
-    }
-
     /// The change applied at the beginning of round `round ≥ 1`, relative to
-    /// `prev`, given the outputs published at the end of round `round - 1`.
-    fn next_delta(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> GraphDelta {
-        let next = self.next_graph(round, prev, outputs);
-        GraphDelta::between(prev, &next)
-    }
+    /// `prev`, given the outputs published at the end of round `round - 1`
+    /// (`None` for nodes that have not woken up).
+    fn next_delta(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> GraphDelta;
 }
 
 /// Every output-oblivious adversary is trivially an output-aware adversary
@@ -80,10 +63,6 @@ pub trait OutputAdversary<O>: Send {
 impl<O, A: Adversary> OutputAdversary<O> for A {
     fn initial_graph(&mut self) -> Graph {
         Adversary::initial_graph(self)
-    }
-
-    fn next_graph(&mut self, round: u64, prev: &Graph, _outputs: &[Option<O>]) -> Graph {
-        Adversary::next_graph(self, round, prev)
     }
 
     fn next_delta(&mut self, round: u64, prev: &Graph, _outputs: &[Option<O>]) -> GraphDelta {
@@ -97,10 +76,6 @@ impl<O, A: Adversary> OutputAdversary<O> for A {
 impl<O> OutputAdversary<O> for Box<dyn OutputAdversary<O> + '_> {
     fn initial_graph(&mut self) -> Graph {
         (**self).initial_graph()
-    }
-
-    fn next_graph(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> Graph {
-        (**self).next_graph(round, prev, outputs)
     }
 
     fn next_delta(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> GraphDelta {
@@ -119,8 +94,8 @@ mod tests {
         fn initial_graph(&mut self) -> Graph {
             self.0.clone()
         }
-        fn next_graph(&mut self, _round: u64, prev: &Graph) -> Graph {
-            prev.clone()
+        fn next_delta(&mut self, _round: u64, _prev: &Graph) -> GraphDelta {
+            GraphDelta::new()
         }
     }
 
@@ -128,17 +103,9 @@ mod tests {
     fn blanket_output_adversary_impl() {
         let mut adv = Freeze(generators::cycle(4));
         let g0 = <Freeze as OutputAdversary<u32>>::initial_graph(&mut adv);
-        let g1 = <Freeze as OutputAdversary<u32>>::next_graph(&mut adv, 1, &g0, &[None; 4]);
-        assert_eq!(g0.edge_vec(), g1.edge_vec());
-    }
-
-    #[test]
-    fn default_next_delta_derives_from_next_graph() {
-        // Freeze only overrides next_graph; the derived delta must be empty.
-        let mut adv = Freeze(generators::cycle(4));
-        let g0 = Adversary::initial_graph(&mut adv);
-        let delta = Adversary::next_delta(&mut adv, 1, &g0);
+        let delta = <Freeze as OutputAdversary<u32>>::next_delta(&mut adv, 1, &g0, &[None; 4]);
         assert!(delta.is_empty());
+        assert_eq!(g0.edge_vec(), delta.materialize(&g0).edge_vec());
     }
 
     struct DropOneEdge;

@@ -86,10 +86,10 @@ pub fn oracle_coloring(g: &Graph) -> Vec<ColorOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, StaticAdversary};
+    use dynnet_adversary::{Scenario, StaticAdversary};
     use dynnet_core::{coloring::conflict_edges, output_churn_series, HasBottom};
     use dynnet_graph::generators;
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_runtime::TraceRecorder;
 
     #[test]
     fn restart_baseline_churns_even_on_static_graphs() {
@@ -100,15 +100,15 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(3, "restart"),
         );
         let period = 20u64;
-        let mut sim = Simulator::new(
-            n,
-            move |v: NodeId| RestartColoring::new(v, period),
-            AllAtStart,
-            SimConfig::sequential(1),
-        );
-        let mut adv = StaticAdversary::new(g);
         let rounds = 120;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        let runner = Scenario::new(n)
+            .algorithm(move |v: NodeId| RestartColoring::new(v, period))
+            .adversary(StaticAdversary::new(g))
+            .seed(1)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let outputs: Vec<Vec<Option<ColorOutput>>> =
             (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
@@ -130,7 +130,7 @@ mod tests {
             undecided_late_round,
             "restarting forces ⊥ outputs long after start"
         );
-        assert!(sim.node(NodeId::new(0)).unwrap().restarts() >= 4);
+        assert!(runner.sim().node(NodeId::new(0)).unwrap().restarts() >= 4);
     }
 
     #[test]
@@ -138,14 +138,14 @@ mod tests {
         let n = 20;
         let g = generators::cycle(n);
         let period = 40u64;
-        let mut sim = Simulator::new(
-            n,
-            move |v: NodeId| RestartColoring::new(v, period),
-            AllAtStart,
-            SimConfig::sequential(2),
-        );
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, period as usize);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(move |v: NodeId| RestartColoring::new(v, period))
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(2)
+            .rounds(period as usize)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let out: Vec<ColorOutput> = record
             .outputs_at(period as usize - 1)
             .iter()

@@ -111,22 +111,20 @@ impl NodeAlgorithm for BasicColoring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynnet_adversary::{Scenario, StaticAdversary};
     use dynnet_core::{coloring::conflict_edges, ColoringProblem, DynamicProblem, HasBottom};
-    use dynnet_graph::{generators, Graph};
+    use dynnet_graph::{generators, Graph, GraphDelta};
     use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
 
     fn run_basic(g: &Graph, rounds: usize, seed: u64) -> Vec<ColorOutput> {
-        let mut sim = Simulator::new(
-            g.num_nodes(),
-            BasicColoring::new,
-            AllAtStart,
-            SimConfig::sequential(seed),
-        );
-        let reports = sim.run_static(g, rounds);
-        reports
-            .last()
-            .unwrap()
-            .outputs
+        let runner = Scenario::new(g.num_nodes())
+            .algorithm(BasicColoring::new)
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(seed)
+            .rounds(rounds)
+            .run(&mut []);
+        runner
+            .outputs()
             .iter()
             .map(|o| o.unwrap_or(ColorOutput::Undecided))
             .collect()
@@ -177,18 +175,18 @@ mod tests {
         let mut sim = Simulator::new(8, BasicColoring::new, AllAtStart, SimConfig::sequential(3));
         let mut last: Vec<Option<ColorOutput>> = vec![None; 8];
         for _ in 0..40 {
-            let rep = sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
             #[allow(clippy::needless_range_loop)]
             for i in 0..8 {
                 if let Some(ColorOutput::Colored(c)) = last[i] {
                     assert_eq!(
-                        rep.outputs[i],
+                        sim.outputs()[i],
                         Some(ColorOutput::Colored(c)),
                         "node {i} changed color"
                     );
                 }
             }
-            last = rep.outputs;
+            last = sim.outputs().to_vec();
         }
         assert!(last
             .iter()
@@ -200,7 +198,7 @@ mod tests {
         let g = generators::complete(6);
         let mut sim = Simulator::new(6, BasicColoring::new, AllAtStart, SimConfig::sequential(7));
         for _ in 0..30 {
-            sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
             for i in 0..6 {
                 let node = sim.node(NodeId::new(i)).unwrap();
                 if node.output() == ColorOutput::Undecided {

@@ -38,17 +38,17 @@ pub fn dynamic_coloring(window: usize) -> DynamicColoringFactory {
 mod tests {
     use super::*;
     use dynnet_adversary::{
-        drive, BurstAdversary, FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary,
+        BurstAdversary, FlipChurnAdversary, LocallyStaticAdversary, Scenario, StaticAdversary,
     };
     use dynnet_core::{
         coloring::conflict_edges, recommended_window, verify_t_dynamic_run, ColoringProblem,
         HasBottom,
     };
     use dynnet_graph::{generators, Graph, NodeId};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_runtime::{ExecutionRecord, TraceRecorder};
 
     fn collect_outputs(
-        record: &dynnet_adversary::ExecutionRecord<ColorOutput>,
+        record: &ExecutionRecord<ColorOutput>,
     ) -> (Vec<Graph>, Vec<Vec<Option<ColorOutput>>>) {
         let graphs: Vec<Graph> = record.trace.iter().collect();
         let outputs = (0..record.num_rounds())
@@ -66,15 +66,15 @@ mod tests {
             5.0,
             &mut dynnet_runtime::rng::experiment_rng(7, "combined-col"),
         );
-        let mut sim = Simulator::new(
-            n,
-            dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(3),
-        );
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.03, 5);
         let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_coloring(window))
+            .adversary(FlipChurnAdversary::new(&footprint, 0.03, 5))
+            .seed(3)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let (graphs, outputs) = collect_outputs(&record);
         let summary = verify_t_dynamic_run(&ColoringProblem, &graphs, &outputs, window, window - 1);
         assert!(
@@ -93,15 +93,15 @@ mod tests {
             0.25,
             &mut dynnet_runtime::rng::experiment_rng(8, "combined-static"),
         );
-        let mut sim = Simulator::new(
-            n,
-            dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(4),
-        );
-        let mut adv = StaticAdversary::new(g.clone());
         let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_coloring(window))
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(4)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let out: Vec<ColorOutput> = record
             .outputs_at(rounds - 1)
             .iter()
@@ -126,15 +126,21 @@ mod tests {
         let n = 36;
         let window = recommended_window(n);
         let base = generators::grid(6, 6);
-        let mut sim = Simulator::new(
-            n,
-            dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(5),
-        );
-        let mut adv = BurstAdversary::new(base, 2 * window as u64, 10 * window as u64, 4, 9);
         let rounds = window * 4;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_coloring(window))
+            .adversary(BurstAdversary::new(
+                base,
+                2 * window as u64,
+                10 * window as u64,
+                4,
+                9,
+            ))
+            .seed(5)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         // Count, per round, conflicts on the *current* graph; they may appear
         // when a burst lands but must be gone again within `window` rounds.
         let mut conflict_rounds: Vec<usize> = Vec::new();
@@ -174,15 +180,21 @@ mod tests {
         let window = recommended_window(n);
         let base = generators::grid(7, 7);
         let seed_node = NodeId::new(24);
-        let mut adv = LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.25, 31);
-        let mut sim = Simulator::new(
-            n,
-            dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(6),
-        );
         let rounds = window * 4;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_coloring(window))
+            .adversary(LocallyStaticAdversary::new(
+                base,
+                vec![seed_node],
+                2,
+                0.25,
+                31,
+            ))
+            .seed(6)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let stable_from = 2 * window;
         let reference = record.outputs_at(stable_from)[seed_node.index()].unwrap();
         assert!(reference.is_decided());

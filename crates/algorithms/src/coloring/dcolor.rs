@@ -200,11 +200,11 @@ impl NodeAlgorithm for DColor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, StaticAdversary};
+    use dynnet_adversary::{FlipChurnAdversary, Scenario, StaticAdversary};
     use dynnet_core::HasBottom;
     use dynnet_core::{coloring::conflict_edges, verify_t_dynamic_run, ColoringProblem};
-    use dynnet_graph::{generators, Graph};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_graph::{generators, Graph, GraphDelta};
+    use dynnet_runtime::{AllAtStart, SimConfig, Simulator, TraceRecorder};
 
     fn fresh(v: NodeId) -> DColor {
         DColor::new(v, ColorOutput::Undecided)
@@ -223,8 +223,8 @@ mod tests {
         };
         let mut sim = Simulator::new(5, factory, AllAtStart, SimConfig::sequential(2));
         for _ in 0..30 {
-            let rep = sim.step(&g);
-            assert_eq!(rep.outputs[0], Some(ColorOutput::Colored(7)));
+            sim.step_delta(&g, &GraphDelta::new());
+            assert_eq!(sim.outputs()[0], Some(ColorOutput::Colored(7)));
         }
     }
 
@@ -235,9 +235,14 @@ mod tests {
             8.0,
             &mut dynnet_runtime::rng::experiment_rng(1, "dcolor"),
         );
-        let mut sim = Simulator::new(80, fresh, AllAtStart, SimConfig::sequential(5));
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, 80);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(80)
+            .algorithm(fresh)
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(5)
+            .rounds(80)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let final_out: Vec<ColorOutput> = record
             .outputs_at(79)
             .iter()
@@ -261,9 +266,14 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(2, "dcolor-churn"),
         );
         let rounds = 70;
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(6));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 3);
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(fresh)
+            .adversary(FlipChurnAdversary::new(&footprint, 0.02, 3))
+            .seed(6)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let graphs: Vec<Graph> = record.trace.iter().collect();
         let outputs: Vec<Vec<Option<ColorOutput>>> =
             (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
@@ -281,15 +291,14 @@ mod tests {
         let joined = Graph::from_edges(n, [dynnet_graph::Edge::of(0, 1)]);
         let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(0));
         for _ in 0..3 {
-            sim.step(&empty);
+            sim.step_delta(&empty, &GraphDelta::new());
         }
-        let mut last = None;
-        for _ in 0..10 {
-            last = Some(sim.step(&joined));
+        sim.step_delta(&joined, &GraphDelta::between(&empty, &joined));
+        for _ in 1..10 {
+            sim.step_delta(&joined, &GraphDelta::new());
         }
-        let outs = last.unwrap().outputs;
-        assert_eq!(outs[0], Some(ColorOutput::Colored(1)));
-        assert_eq!(outs[1], Some(ColorOutput::Colored(1)));
+        assert_eq!(sim.outputs()[0], Some(ColorOutput::Colored(1)));
+        assert_eq!(sim.outputs()[1], Some(ColorOutput::Colored(1)));
         // And the allowed sets stay empty: the edge appeared after the start.
         assert!(sim
             .node(NodeId::new(0))
@@ -311,13 +320,14 @@ mod tests {
             }
         };
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(1));
-        sim.step(&g);
+        sim.step_delta(&g, &GraphDelta::new());
         let node0 = sim.node(NodeId::new(0)).unwrap();
         assert_eq!(node0.palette(), &[1], "palette [d+1]\\{{2}} = {{1}}");
         // Within a couple more rounds node 0 takes color 1.
         let mut out = ColorOutput::Undecided;
         for _ in 0..5 {
-            out = sim.step(&g).outputs[0].unwrap();
+            sim.step_delta(&g, &GraphDelta::new());
+            out = sim.outputs()[0].unwrap();
         }
         assert_eq!(out, ColorOutput::Colored(1));
     }
@@ -330,10 +340,15 @@ mod tests {
             5.0,
             &mut dynnet_runtime::rng::experiment_rng(9, "dcolor-deg"),
         );
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(11));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.05, 12);
         let rounds = 60;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(fresh)
+            .adversary(FlipChurnAdversary::new(&footprint, 0.05, 12))
+            .seed(11)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         // The union over the whole execution bounds every legal color.
         let mut union = record.graph_at(0);
         for r in 1..rounds {

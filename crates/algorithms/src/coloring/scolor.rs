@@ -120,10 +120,10 @@ impl NodeAlgorithm for SColor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary};
+    use dynnet_adversary::{FlipChurnAdversary, LocallyStaticAdversary, Scenario, StaticAdversary};
     use dynnet_core::{ColoringProblem, DynamicProblem, HasBottom};
-    use dynnet_graph::{generators, Graph};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_graph::{generators, Graph, GraphDelta};
+    use dynnet_runtime::{AllAtStart, SimConfig, Simulator, TraceRecorder};
 
     #[test]
     fn every_round_is_a_valid_partial_solution_b1() {
@@ -134,10 +134,15 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(4, "scolor"),
         );
-        let mut sim = Simulator::new(n, SColor::new, AllAtStart, SimConfig::sequential(8));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.08, 21);
         let rounds = 60;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(SColor::new)
+            .adversary(FlipChurnAdversary::new(&footprint, 0.08, 21))
+            .seed(8)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let p = ColoringProblem;
         for r in 0..rounds {
             let g = record.graph_at(r);
@@ -161,10 +166,15 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(5, "scolor-static"),
         );
-        let mut sim = Simulator::new(60, SColor::new, AllAtStart, SimConfig::sequential(9));
-        let mut adv = StaticAdversary::new(g.clone());
         let rounds = 100;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(60)
+            .algorithm(SColor::new)
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(9)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         // Everyone colored at the end…
         let final_out = record.outputs_at(rounds - 1);
         assert!(final_out.iter().all(|o| o.unwrap().is_decided()));
@@ -188,14 +198,14 @@ mod tests {
         let mut sim = Simulator::new(n, SColor::new, AllAtStart, SimConfig::sequential(13));
         // Run isolated until both are colored (necessarily color 1).
         for _ in 0..3 {
-            sim.step(&empty);
+            sim.step_delta(&empty, &GraphDelta::new());
         }
         assert_eq!(sim.outputs()[0], Some(ColorOutput::Colored(1)));
         assert_eq!(sim.outputs()[1], Some(ColorOutput::Colored(1)));
         // Join them: in the round the edge appears both see the conflict and uncolor.
-        let rep = sim.step(&joined);
-        let c0 = rep.outputs[0].unwrap();
-        let c1 = rep.outputs[1].unwrap();
+        sim.step_delta(&joined, &GraphDelta::between(&empty, &joined));
+        let c0 = sim.outputs()[0].unwrap();
+        let c1 = sim.outputs()[1].unwrap();
         assert!(
             c0.is_bottom() && c1.is_bottom(),
             "both uncolor on a same-color conflict: {c0:?} {c1:?}"
@@ -203,8 +213,8 @@ mod tests {
         // Within O(log n) rounds they settle on different colors.
         let mut last = (c0, c1);
         for _ in 0..30 {
-            let rep = sim.step(&joined);
-            last = (rep.outputs[0].unwrap(), rep.outputs[1].unwrap());
+            sim.step_delta(&joined, &GraphDelta::new());
+            last = (sim.outputs()[0].unwrap(), sim.outputs()[1].unwrap());
         }
         assert!(last.0.is_decided() && last.1.is_decided());
         assert_ne!(last.0, last.1);
@@ -216,10 +226,21 @@ mod tests {
         // Protect the 2-neighborhood of a seed node; churn the rest heavily.
         let base = generators::grid(7, 7);
         let seed_node = NodeId::new(24);
-        let mut adv = LocallyStaticAdversary::new(base.clone(), vec![seed_node], 2, 0.3, 17);
-        let mut sim = Simulator::new(49, SColor::new, AllAtStart, SimConfig::sequential(19));
         let rounds = 120;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(49)
+            .algorithm(SColor::new)
+            .adversary(LocallyStaticAdversary::new(
+                base.clone(),
+                vec![seed_node],
+                2,
+                0.3,
+                17,
+            ))
+            .seed(19)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         // After a logarithmic prefix the protected node must be colored and
         // never change again.
         let stable_from = 60;
@@ -244,16 +265,16 @@ mod tests {
         let mut sim = Simulator::new(3, SColor::new, AllAtStart, SimConfig::sequential(23));
         let mut colored_center = ColorOutput::Undecided;
         for _ in 0..40 {
-            let rep = sim.step(&star);
-            colored_center = rep.outputs[0].unwrap();
+            sim.step_delta(&star, &GraphDelta::new());
+            colored_center = sim.outputs()[0].unwrap();
             if colored_center.is_decided() {
                 break;
             }
         }
         assert!(colored_center.is_decided());
         // Now isolate the center; within one round its color must be ≤ 1.
-        let rep = sim.step(&empty);
-        let out: Vec<ColorOutput> = rep.outputs.iter().map(|o| o.unwrap()).collect();
+        sim.step_delta(&empty, &GraphDelta::between(&star, &empty));
+        let out: Vec<ColorOutput> = sim.outputs().iter().map(|o| o.unwrap()).collect();
         assert!(p.partial_covering_ok_at(&empty, NodeId::new(0), &out));
     }
 }

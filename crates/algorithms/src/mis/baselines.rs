@@ -82,11 +82,11 @@ pub fn oracle_mis(g: &Graph) -> Vec<MisOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, StaticAdversary};
+    use dynnet_adversary::{Scenario, StaticAdversary};
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::output_churn_series;
     use dynnet_graph::generators;
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_runtime::TraceRecorder;
 
     #[test]
     fn restart_baseline_churns_on_static_graphs() {
@@ -97,21 +97,21 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(5, "restart-mis"),
         );
         let period = 20u64;
-        let mut sim = Simulator::new(
-            n,
-            move |v: NodeId| RestartMis::new(v, period),
-            AllAtStart,
-            SimConfig::sequential(1),
-        );
-        let mut adv = StaticAdversary::new(g);
         let rounds = 120;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        let runner = Scenario::new(n)
+            .algorithm(move |v: NodeId| RestartMis::new(v, period))
+            .adversary(StaticAdversary::new(g))
+            .seed(1)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let outputs: Vec<Vec<Option<MisOutput>>> =
             (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let total_churn: usize = output_churn_series(&outputs, &nodes).iter().sum();
         assert!(total_churn > 2 * n, "got churn {total_churn}");
-        assert!(sim.node(NodeId::new(0)).unwrap().restarts() >= 4);
+        assert!(runner.sim().node(NodeId::new(0)).unwrap().restarts() >= 4);
     }
 
     #[test]
@@ -119,14 +119,14 @@ mod tests {
         let n = 24;
         let g = generators::cycle(n);
         let period = 40u64;
-        let mut sim = Simulator::new(
-            n,
-            move |v: NodeId| RestartMis::new(v, period),
-            AllAtStart,
-            SimConfig::sequential(2),
-        );
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, period as usize);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(move |v: NodeId| RestartMis::new(v, period))
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(2)
+            .rounds(period as usize)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let out: Vec<MisOutput> = record
             .outputs_at(period as usize - 1)
             .iter()

@@ -34,13 +34,13 @@ pub fn dynamic_mis(n: usize, window: usize) -> DynamicMisFactory {
 mod tests {
     use super::*;
     use dynnet_adversary::{
-        drive, FlipChurnAdversary, LocallyStaticAdversary, MobilityAdversary, MobilityConfig,
+        FlipChurnAdversary, LocallyStaticAdversary, MobilityAdversary, MobilityConfig, Scenario,
         StaticAdversary,
     };
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::{recommended_window, verify_t_dynamic_run, HasBottom, MisProblem};
     use dynnet_graph::{generators, Graph};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_runtime::TraceRecorder;
 
     #[test]
     fn t_dynamic_mis_in_every_round_under_churn() {
@@ -51,15 +51,15 @@ mod tests {
             5.0,
             &mut dynnet_runtime::rng::experiment_rng(11, "combined-mis"),
         );
-        let mut sim = Simulator::new(
-            n,
-            dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(7),
-        );
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.03, 13);
         let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_mis(n, window))
+            .adversary(FlipChurnAdversary::new(&footprint, 0.03, 13))
+            .seed(7)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let graphs: Vec<Graph> = record.trace.iter().collect();
         let outputs: Vec<Vec<Option<MisOutput>>> =
             (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
@@ -80,15 +80,15 @@ mod tests {
             0.25,
             &mut dynnet_runtime::rng::experiment_rng(12, "combined-mis-static"),
         );
-        let mut sim = Simulator::new(
-            n,
-            dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(8),
-        );
-        let mut adv = StaticAdversary::new(g.clone());
         let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_mis(n, window))
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(8)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let out: Vec<MisOutput> = record
             .outputs_at(rounds - 1)
             .iter()
@@ -110,15 +110,21 @@ mod tests {
         let window = recommended_window(n);
         let base = generators::grid(7, 7);
         let seed_node = dynnet_graph::NodeId::new(24);
-        let mut adv = LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.25, 37);
-        let mut sim = Simulator::new(
-            n,
-            dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(9),
-        );
         let rounds = window * 4;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_mis(n, window))
+            .adversary(LocallyStaticAdversary::new(
+                base,
+                vec![seed_node],
+                2,
+                0.25,
+                37,
+            ))
+            .seed(9)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let stable_from = 2 * window;
         let reference = record.outputs_at(stable_from)[seed_node.index()].unwrap();
         assert!(reference.is_decided());
@@ -131,23 +137,23 @@ mod tests {
     fn works_under_mobility() {
         let n = 40;
         let window = recommended_window(n);
-        let mut adv = MobilityAdversary::new(
-            MobilityConfig {
-                n,
-                radius: 0.25,
-                min_speed: 0.002,
-                max_speed: 0.01,
-            },
-            41,
-        );
-        let mut sim = Simulator::new(
-            n,
-            dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(10),
-        );
         let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(dynamic_mis(n, window))
+            .adversary(MobilityAdversary::new(
+                MobilityConfig {
+                    n,
+                    radius: 0.25,
+                    min_speed: 0.002,
+                    max_speed: 0.01,
+                },
+                41,
+            ))
+            .seed(10)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let graphs: Vec<Graph> = record.trace.iter().collect();
         let outputs: Vec<Vec<Option<MisOutput>>> =
             (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();

@@ -156,11 +156,11 @@ impl NodeAlgorithm for DMis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, StaticAdversary};
+    use dynnet_adversary::{FlipChurnAdversary, Scenario, StaticAdversary};
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::{verify_t_dynamic_run, HasBottom, MisProblem};
-    use dynnet_graph::{generators, Graph};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_graph::{generators, Graph, GraphDelta};
+    use dynnet_runtime::{AllAtStart, SimConfig, Simulator, TraceRecorder};
 
     fn fresh(v: NodeId) -> DMis {
         DMis::new(v, MisOutput::Undecided)
@@ -176,9 +176,9 @@ mod tests {
         };
         let mut sim = Simulator::new(6, factory, AllAtStart, SimConfig::sequential(1));
         for _ in 0..25 {
-            let rep = sim.step(&g);
-            assert_eq!(rep.outputs[0], Some(MisOutput::InMis));
-            assert_eq!(rep.outputs[1], Some(MisOutput::Dominated));
+            sim.step_delta(&g, &GraphDelta::new());
+            assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
+            assert_eq!(sim.outputs()[1], Some(MisOutput::Dominated));
         }
     }
 
@@ -189,9 +189,14 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(2, "dmis"),
         );
-        let mut sim = Simulator::new(70, fresh, AllAtStart, SimConfig::sequential(2));
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, 80);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(70)
+            .algorithm(fresh)
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(2)
+            .rounds(80)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let out: Vec<MisOutput> = record.outputs_at(79).iter().map(|o| o.unwrap()).collect();
         assert!(out.iter().all(|o| o.is_decided()));
         assert_eq!(independence_violations(&g, &out), 0);
@@ -207,9 +212,14 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(3, "dmis-churn"),
         );
         let rounds = 80;
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(4));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 7);
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(fresh)
+            .adversary(FlipChurnAdversary::new(&footprint, 0.02, 7))
+            .seed(4)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let graphs: Vec<Graph> = record.trace.iter().collect();
         let outputs: Vec<Vec<Option<MisOutput>>> =
             (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
@@ -223,10 +233,15 @@ mod tests {
         // edge present since the instance start can never both be in M.
         let n = 30;
         let footprint = generators::complete(n);
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(5));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.3, 8);
         let rounds = 40;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(fresh)
+            .adversary(FlipChurnAdversary::new(&footprint, 0.3, 8))
+            .seed(5)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         // Intersection over the whole run.
         let mut inter = record.graph_at(0);
         for r in 1..rounds {
@@ -248,11 +263,12 @@ mod tests {
         let empty = Graph::new(n);
         let joined = generators::path(2);
         let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(6));
-        sim.step(&empty);
+        sim.step_delta(&empty, &GraphDelta::new());
         assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
         assert_eq!(sim.outputs()[1], Some(MisOutput::InMis));
-        for _ in 0..5 {
-            sim.step(&joined);
+        sim.step_delta(&joined, &GraphDelta::between(&empty, &joined));
+        for _ in 1..5 {
+            sim.step_delta(&joined, &GraphDelta::new());
         }
         assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
         assert_eq!(sim.outputs()[1], Some(MisOutput::InMis));

@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::HasBottom;
-    use dynnet_graph::generators;
+    use dynnet_graph::{generators, GraphDelta};
     use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
 
     #[test]
@@ -117,14 +117,10 @@ mod tests {
                 AllAtStart,
                 SimConfig::sequential(seed),
             );
-            let reports = sim.run_static(&g, 120);
-            let out: Vec<MisOutput> = reports
-                .last()
-                .unwrap()
-                .outputs
-                .iter()
-                .map(|o| o.unwrap())
-                .collect();
+            for _ in 0..120 {
+                sim.step_delta(&g, &GraphDelta::new());
+            }
+            let out: Vec<MisOutput> = sim.outputs().iter().map(|o| o.unwrap()).collect();
             assert!(out.iter().all(|o| o.is_decided()), "seed {seed}");
             assert_eq!(independence_violations(&g, &out), 0, "seed {seed}");
             assert_eq!(domination_violations(&g, &out), 0, "seed {seed}");
@@ -143,16 +139,16 @@ mod tests {
         );
         let mut prev: Vec<Option<MisOutput>> = vec![None; n];
         for _ in 0..80 {
-            let rep = sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
             #[allow(clippy::needless_range_loop)]
             for i in 0..n {
                 if let Some(s) = prev[i] {
                     if s != MisOutput::Undecided {
-                        assert_eq!(rep.outputs[i], Some(s));
+                        assert_eq!(sim.outputs()[i], Some(s));
                     }
                 }
             }
-            prev = rep.outputs;
+            prev = sim.outputs().to_vec();
         }
     }
 
@@ -167,7 +163,7 @@ mod tests {
             SimConfig::sequential(10),
         );
         for _ in 0..6 {
-            sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
         }
         // In K_40 the effective degree starts near 20, so undecided nodes
         // must have halved their desire-level several times by now.

@@ -96,15 +96,15 @@ mod tests {
     use super::*;
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::HasBottom;
-    use dynnet_graph::generators;
+    use dynnet_graph::{generators, GraphDelta};
     use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
 
     #[test]
     fn isolated_node_joins_the_mis() {
         let g = dynnet_graph::Graph::new(1);
         let mut sim = Simulator::new(1, LubyMis::new, AllAtStart, SimConfig::sequential(0));
-        let rep = sim.step(&g);
-        assert_eq!(rep.outputs[0], Some(MisOutput::InMis));
+        sim.step_delta(&g, &GraphDelta::new());
+        assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
     }
 
     #[test]
@@ -116,14 +116,10 @@ mod tests {
                 &mut dynnet_runtime::rng::experiment_rng(seed, "luby"),
             );
             let mut sim = Simulator::new(70, LubyMis::new, AllAtStart, SimConfig::sequential(seed));
-            let reports = sim.run_static(&g, 80);
-            let out: Vec<MisOutput> = reports
-                .last()
-                .unwrap()
-                .outputs
-                .iter()
-                .map(|o| o.unwrap())
-                .collect();
+            for _ in 0..80 {
+                sim.step_delta(&g, &GraphDelta::new());
+            }
+            let out: Vec<MisOutput> = sim.outputs().iter().map(|o| o.unwrap()).collect();
             assert!(out.iter().all(|o| o.is_decided()), "seed {seed}");
             assert_eq!(independence_violations(&g, &out), 0, "seed {seed}");
             assert_eq!(domination_violations(&g, &out), 0, "seed {seed}");
@@ -136,16 +132,16 @@ mod tests {
         let mut sim = Simulator::new(15, LubyMis::new, AllAtStart, SimConfig::sequential(1));
         let mut prev: Vec<Option<MisOutput>> = vec![None; 15];
         for _ in 0..40 {
-            let rep = sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
             #[allow(clippy::needless_range_loop)]
             for i in 0..15 {
                 if let Some(s) = prev[i] {
                     if s != MisOutput::Undecided {
-                        assert_eq!(rep.outputs[i], Some(s));
+                        assert_eq!(sim.outputs()[i], Some(s));
                     }
                 }
             }
-            prev = rep.outputs;
+            prev = sim.outputs().to_vec();
         }
     }
 
@@ -164,7 +160,7 @@ mod tests {
         };
         let mut sim = Simulator::new(3, factory, AllAtStart, SimConfig::sequential(2));
         for _ in 0..15 {
-            sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
         }
         assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
         assert_eq!(sim.outputs()[1], Some(MisOutput::Dominated));

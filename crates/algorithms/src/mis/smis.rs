@@ -159,10 +159,10 @@ impl NodeAlgorithm for SMis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary};
+    use dynnet_adversary::{FlipChurnAdversary, LocallyStaticAdversary, Scenario, StaticAdversary};
     use dynnet_core::{DynamicProblem, HasBottom, MisProblem};
-    use dynnet_graph::{generators, Graph};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_graph::{generators, Graph, GraphDelta};
+    use dynnet_runtime::{AllAtStart, SimConfig, Simulator, TraceRecorder};
 
     fn factory(n: usize) -> impl Fn(NodeId) -> SMis + Copy {
         move |v: NodeId| SMis::new(v, n)
@@ -185,10 +185,15 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(5, "smis"),
         );
-        let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(3));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.08, 11);
         let rounds = 70;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(factory(n))
+            .adversary(FlipChurnAdversary::new(&footprint, 0.08, 11))
+            .seed(3)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let p = MisProblem;
         let mut orphan_rounds = 0usize;
         for r in 0..rounds {
@@ -242,10 +247,15 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(6, "smis-static"),
         );
-        let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(4));
-        let mut adv = StaticAdversary::new(g.clone());
         let rounds = 150;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(factory(n))
+            .adversary(StaticAdversary::new(g.clone()))
+            .seed(4)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let final_out: Vec<MisOutput> = record
             .outputs_at(rounds - 1)
             .iter()
@@ -268,15 +278,15 @@ mod tests {
         let g = generators::path(2);
         let factory = |v: NodeId| SMis::with_state(v, 2, MisOutput::InMis);
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(5));
-        let rep = sim.step(&g);
-        assert_eq!(rep.outputs[0], Some(MisOutput::Undecided));
-        assert_eq!(rep.outputs[1], Some(MisOutput::Undecided));
+        sim.step_delta(&g, &GraphDelta::new());
+        assert_eq!(sim.outputs()[0], Some(MisOutput::Undecided));
+        assert_eq!(sim.outputs()[1], Some(MisOutput::Undecided));
         assert!(sim.node(NodeId::new(0)).unwrap().undo_events() >= 1);
         // Eventually exactly one of them is in M and the other dominated.
         let mut last = (MisOutput::Undecided, MisOutput::Undecided);
         for _ in 0..50 {
-            let rep = sim.step(&g);
-            last = (rep.outputs[0].unwrap(), rep.outputs[1].unwrap());
+            sim.step_delta(&g, &GraphDelta::new());
+            last = (sim.outputs()[0].unwrap(), sim.outputs()[1].unwrap());
         }
         assert!(matches!(
             last,
@@ -302,15 +312,14 @@ mod tests {
             )
         };
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(6));
-        sim.step(&joined);
+        sim.step_delta(&joined, &GraphDelta::new());
         assert_eq!(sim.outputs()[1], Some(MisOutput::Dominated));
-        sim.step(&empty);
+        sim.step_delta(&empty, &GraphDelta::between(&joined, &empty));
         assert_eq!(sim.outputs()[1], Some(MisOutput::Undecided));
-        let mut last = MisOutput::Undecided;
         for _ in 0..30 {
-            last = sim.step(&empty).outputs[1].unwrap();
+            sim.step_delta(&empty, &GraphDelta::new());
         }
-        assert_eq!(last, MisOutput::InMis);
+        assert_eq!(sim.outputs()[1], Some(MisOutput::InMis));
     }
 
     #[test]
@@ -319,7 +328,7 @@ mod tests {
         let g = generators::complete(n);
         let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(7));
         for _ in 0..60 {
-            sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
             for i in 0..n {
                 let p = sim.node(NodeId::new(i)).unwrap().desire_level();
                 assert!(p >= 1.0 / (5.0 * n as f64) - 1e-12 && p <= 0.5 + 1e-12);
@@ -332,10 +341,21 @@ mod tests {
         let base = generators::grid(7, 7);
         let seed_node = NodeId::new(24);
         let n = 49;
-        let mut adv = LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.3, 23);
-        let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(8));
         let rounds = 160;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let mut recorder = TraceRecorder::new();
+        Scenario::new(n)
+            .algorithm(factory(n))
+            .adversary(LocallyStaticAdversary::new(
+                base,
+                vec![seed_node],
+                2,
+                0.3,
+                23,
+            ))
+            .seed(8)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        let record = recorder.into_record();
         let stable_from = 80;
         let reference = record.outputs_at(stable_from)[seed_node.index()].unwrap();
         assert!(

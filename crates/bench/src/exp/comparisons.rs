@@ -393,7 +393,6 @@ pub fn e14_simulator_throughput(ctx: &ExpContext) -> Vec<Table> {
             seed: 14,
             parallel,
             parallel_threshold: 0,
-            ..SimConfig::default()
         };
         // TIMING: this experiment (E13) measures wall-clock speedup; timings
         // are reported as measurements, not mixed into simulation output.

@@ -2,17 +2,13 @@
 //!
 //! Experiment harness regenerating every experiment table in EXPERIMENTS.md
 //! (the paper has no empirical tables; each experiment validates one of its
-//! quantitative claims — see DESIGN.md §5 for the experiment index), plus
-//! Criterion micro-benchmarks of the substrate and the algorithms.
+//! quantitative claims — see DESIGN.md §5 for the experiment index).
 //!
 //! The E1–E14 experiments ([`exp`]) are declared as `SweepSpec` grids on the
 //! work-stealing `dynnet-sweep` engine and stream their executions through
 //! `RoundObserver`s, so the harness exercises the delta pipeline end to end.
-//! The benches pin its per-round asymptotics: `bench_delta` (adversary →
-//! simulator round, `O(|δ|)` vs full rebuild), `bench_verify` (checked
-//! verification round, `O(|δ| + output churn)` incremental ledger vs full
-//! re-check), `bench_window` (window maintenance), and `bench_sweep`
-//! (1 → N thread scaling).
+//! Per-round performance is measured by the layered `perfbench/` package
+//! (declared in the repository's `BENCHMARK.json`), not here.
 //!
 //! Run all experiments:
 //!
@@ -23,4 +19,3 @@
 #![forbid(unsafe_code)]
 
 pub mod exp;
-pub mod report;

@@ -244,7 +244,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_graph::{generators, Graph};
+    use dynnet_graph::{generators, Graph, GraphDelta};
     use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
 
     /// Toy "network-static" algorithm: after `delay` rounds it outputs
@@ -323,7 +323,7 @@ mod tests {
         let factory = toy_concat_factory(4, 2);
         let mut sim = Simulator::new(4, factory, AllAtStart, SimConfig::sequential(0));
         for _ in 0..10 {
-            sim.step(&g);
+            sim.step_delta(&g, &GraphDelta::new());
         }
         let node = sim.node(NodeId::new(0)).unwrap();
         assert_eq!(node.num_instances(), 3);
@@ -337,11 +337,10 @@ mod tests {
         let g = generators::cycle(4);
         let factory = toy_concat_factory(3, 2);
         let mut sim = Simulator::new(4, factory, AllAtStart, SimConfig::sequential(0));
-        let mut last = None;
         for _ in 0..8 {
-            last = Some(sim.step(&g));
+            sim.step_delta(&g, &GraphDelta::new());
         }
-        let outputs = last.unwrap().outputs;
+        let outputs = sim.outputs();
         #[allow(clippy::needless_range_loop)]
         for i in 0..4 {
             assert_eq!(
@@ -364,13 +363,13 @@ mod tests {
         let g = generators::cycle(3);
         let factory = toy_concat_factory(3, 100);
         let mut sim = Simulator::new(3, factory, AllAtStart, SimConfig::sequential(0));
-        let mut reports = Vec::new();
-        for _ in 0..5 {
-            reports.push(sim.step(&g));
-        }
+        sim.step_delta(&g, &GraphDelta::new());
         // Round 0: the single instance has run 1 round and decided the fallback.
-        assert_eq!(reports[0].outputs[0], Some(Some(1000)));
-        assert_eq!(reports[4].outputs[2], Some(Some(1002)));
+        assert_eq!(sim.outputs()[0], Some(Some(1000)));
+        for _ in 1..5 {
+            sim.step_delta(&g, &GraphDelta::new());
+        }
+        assert_eq!(sim.outputs()[2], Some(Some(1002)));
     }
 
     #[test]
@@ -398,8 +397,8 @@ mod tests {
         let g: Graph = generators::complete(2);
         let factory = toy_concat_factory(4, 1);
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(0));
-        sim.step(&g);
-        sim.step(&g);
+        sim.step_delta(&g, &GraphDelta::new());
+        sim.step_delta(&g, &GraphDelta::new());
         let node = sim.node(NodeId::new(0)).unwrap();
         let tags: Vec<u64> = node.dalgs.iter().map(|(t, _)| *t).collect();
         assert_eq!(tags, vec![0, 1], "instances tagged by start round");

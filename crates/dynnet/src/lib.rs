@@ -60,10 +60,10 @@ pub use dynnet_sweep as sweep;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use dynnet_adversary::{
-        run, Adversary, BurstAdversary, ConflictSeekingAdversary, ExecutionRecord,
-        FlipChurnAdversary, GrowthAdversary, LocallyStaticAdversary, MarkovChurnAdversary,
-        MobilityAdversary, MobilityConfig, NodeChurnAdversary, OutputAdversary, PhaseAdversary,
-        RateChurnAdversary, Runner, Scenario, ScriptedAdversary, StaticAdversary,
+        Adversary, BurstAdversary, ConflictSeekingAdversary, FlipChurnAdversary, GrowthAdversary,
+        LocallyStaticAdversary, MarkovChurnAdversary, MobilityAdversary, MobilityConfig,
+        NodeChurnAdversary, OutputAdversary, PhaseAdversary, RateChurnAdversary, Runner, Scenario,
+        ScriptedAdversary, StaticAdversary,
     };
     pub use dynnet_algorithms::apps::tdma;
     pub use dynnet_algorithms::coloring::{

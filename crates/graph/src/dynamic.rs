@@ -133,8 +133,7 @@ impl GraphDelta {
     }
 
     /// Returns the graph obtained by applying this delta to a copy of `prev`
-    /// (the compatibility bridge from the delta-native adversary interface to
-    /// the whole-graph one).
+    /// (how `Adversary::next_graph` is provided on top of `next_delta`).
     pub fn materialize(&self, prev: &Graph) -> Graph {
         let mut g = prev.clone();
         self.apply(&mut g);

@@ -13,9 +13,9 @@
 //! * [`NodeAlgorithm`] — the per-node algorithm abstraction (send → receive →
 //!   output per round).
 //! * [`Simulator`] — drives one algorithm over a dynamic graph; sequential or
-//!   rayon-parallel per-node phases with bit-identical results. The
-//!   delta-native round primitive (`Simulator::step_delta`) patches a
-//!   persistent effective CSR in `O(|δ|)` per round; counters
+//!   rayon-parallel per-node phases with bit-identical results. Its one
+//!   round entry point, `Simulator::step_delta`, builds the effective CSR in
+//!   round 0 and patches it in `O(|δ|)` every later round; counters
 //!   (`Simulator::delta_stats`) pin the zero-clone/zero-rebuild invariant.
 //!   Each round's [`StepSummary`] also carries the exact *output churn*
 //!   (`changed_outputs`), tracked at publication time, which downstream
@@ -42,5 +42,5 @@ pub use observer::{
     ChurnStats, ConvergenceTracker, DeltaLogRecorder, ExecutionRecord, MetricsObserver,
     ObserverFactory, RoundObserver, RoundView, TraceRecorder,
 };
-pub use simulator::{DeltaStats, RoundReport, SimConfig, Simulator, StepSummary};
+pub use simulator::{DeltaStats, SimConfig, Simulator, StepSummary};
 pub use wakeup::{AllAtStart, RandomWakeup, ScriptedWakeup, Staggered, WakeupSchedule};

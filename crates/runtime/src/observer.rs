@@ -1,19 +1,18 @@
 //! Streaming round observers.
 //!
-//! The paper's guarantees are statements about *whole executions*; the
-//! original API forced callers to materialize every round (`Vec<RoundReport>`
-//! with a full graph + output clone per round, `O(n · rounds)` memory) and
-//! run verification as a post-hoc pass. A [`RoundObserver`] instead receives
-//! a borrowed [`RoundView`] right after each round executes, so metrics,
-//! T-dynamic verification, and trace recording run *while* the execution
-//! streams by, each keeping only the state it actually needs (an `O(window)`
-//! ring of graphs for verification, `O(n)` for churn tracking, deltas for
-//! trace recording).
+//! The paper's guarantees are statements about *whole executions*. Rather
+//! than materializing every round (a full graph + output clone per round,
+//! `O(n · rounds)` memory) and verifying in a post-hoc pass, a
+//! [`RoundObserver`] receives a borrowed [`RoundView`] right after each
+//! round executes, so metrics, T-dynamic verification, and trace recording
+//! run *while* the execution streams by, each keeping only the state it
+//! actually needs (an `O(window)` ring of graphs for verification, `O(n)`
+//! for churn tracking, deltas for trace recording).
 //!
 //! Built-in observers:
 //!
 //! * [`TraceRecorder`] — records the dynamic graph sequence (and, unless
-//!   constructed with [`TraceRecorder::graphs_only`], the per-round reports)
+//!   constructed with [`TraceRecorder::graphs_only`], the per-round outputs)
 //!   into an [`ExecutionRecord`].
 //! * [`DeltaLogRecorder`] — streams the graph sequence to an on-disk delta
 //!   log (`dynnet_graph::codec`) in `O(1)` memory in the number of rounds,
@@ -27,7 +26,6 @@
 //! The streaming T-dynamic verifier lives in `dynnet-core`
 //! (`TDynamicVerifier`) because it needs the problem definitions.
 
-use crate::simulator::RoundReport;
 use dynnet_graph::{
     CodecError, CsrGraph, DeltaLogWriter, DynamicGraphTrace, Graph, GraphDelta, LogStats, NodeId,
 };
@@ -41,12 +39,11 @@ pub struct RoundView<'a, O> {
     /// The effective communication graph `G_r` over `V_r` (shared snapshot;
     /// clone the `Arc` to retain it beyond the callback).
     pub graph: &'a Arc<CsrGraph>,
-    /// The change of the effective graph relative to the previous round,
-    /// when the round was driven by a delta (`None` on round 0 and on
-    /// whole-graph rounds; still `Some`, with valid data, when a dense
-    /// delta fell back to a full CSR rebuild). Delta-aware observers —
-    /// trace recording, window maintenance — consume this instead of
-    /// diffing or converting whole graphs.
+    /// The change of the effective graph relative to the previous round:
+    /// `None` exactly on round 0, `Some` on every later round (still valid
+    /// when a dense delta fell back to a full CSR rebuild). Delta-aware
+    /// observers — trace recording, window maintenance — consume this
+    /// instead of diffing or converting whole graphs.
     pub delta: Option<&'a GraphDelta>,
     /// Output of every node at the end of the round (`None` = still asleep).
     pub outputs: &'a [Option<O>],
@@ -142,13 +139,23 @@ where
 }
 
 /// The full record of one execution: the dynamic graph sequence plus
-/// (optionally) the per-round reports. Produced by [`TraceRecorder`].
+/// (optionally) the per-round outputs. Produced by [`TraceRecorder`].
 pub struct ExecutionRecord<O> {
     /// The dynamic graph sequence of the execution (effective graphs `G_r`).
     pub trace: DynamicGraphTrace,
-    /// Per-round reports (same length as the trace; empty if the recorder was
-    /// constructed with [`TraceRecorder::graphs_only`]).
-    pub reports: Vec<RoundReport<O>>,
+    /// Per-round records (same length as the trace; empty if the recorder
+    /// was constructed with [`TraceRecorder::graphs_only`]).
+    rounds: Vec<RoundRecord<O>>,
+}
+
+/// What [`TraceRecorder`] keeps of one round besides its graph, which lives
+/// in [`ExecutionRecord::trace`]. Holding no graph snapshot keeps the
+/// simulator's effective CSR unshared, so recording forces no
+/// copy-on-write clone.
+struct RoundRecord<O> {
+    outputs: Vec<Option<O>>,
+    newly_awake: Vec<NodeId>,
+    num_awake: usize,
 }
 
 impl<O> ExecutionRecord<O> {
@@ -157,13 +164,34 @@ impl<O> ExecutionRecord<O> {
         self.trace.num_rounds()
     }
 
+    /// The per-round record of round `r`.
+    ///
+    /// Panics if the recorder did not record outputs.
+    fn round(&self, r: usize) -> &RoundRecord<O> {
+        // INVARIANT: documented caller contract — one record was kept per
+        // executed round, so r must be < num_rounds().
+        &self.rounds[r]
+    }
+
     /// The outputs at the end of round `r`.
     ///
-    /// Panics if the recorder did not record reports.
+    /// Panics if the recorder did not record outputs.
     pub fn outputs_at(&self, r: usize) -> &[Option<O>] {
-        // INVARIANT: documented caller contract — one report was recorded
-        // per executed round, so r must be < num_rounds().
-        &self.reports[r].outputs
+        &self.round(r).outputs
+    }
+
+    /// The nodes that woke up in round `r`.
+    ///
+    /// Panics if the recorder did not record outputs.
+    pub fn newly_awake_at(&self, r: usize) -> &[NodeId] {
+        &self.round(r).newly_awake
+    }
+
+    /// The number of awake nodes at the end of round `r`.
+    ///
+    /// Panics if the recorder did not record outputs.
+    pub fn num_awake_at(&self, r: usize) -> usize {
+        self.round(r).num_awake
     }
 
     /// The communication graph of round `r`.
@@ -174,25 +202,24 @@ impl<O> ExecutionRecord<O> {
 
 /// Records the execution into an [`ExecutionRecord`].
 ///
-/// By default both the graph sequence and the full per-round reports
-/// (including an `O(n)` output clone per round) are recorded — this is the
-/// legacy "materialize everything" behavior that `adversary::run` exposes.
-/// Use [`TraceRecorder::graphs_only`] to record just the graph sequence
-/// (stored as per-round deltas, so memory is proportional to topology change,
-/// not `n · rounds`).
+/// By default both the graph sequence and the per-round outputs (an `O(n)`
+/// output clone per round, plus the round's wake-ups) are recorded. Use
+/// [`TraceRecorder::graphs_only`] to record just the graph sequence (stored
+/// as per-round deltas, so memory is proportional to topology change, not
+/// `n · rounds`). Neither mode retains a graph snapshot `Arc`.
 pub struct TraceRecorder<O> {
     trace: Option<DynamicGraphTrace>,
-    reports: Vec<RoundReport<O>>,
-    record_reports: bool,
+    rounds: Vec<RoundRecord<O>>,
+    record_outputs: bool,
 }
 
 impl<O: Clone> TraceRecorder<O> {
-    /// Records the graph sequence and every per-round report.
+    /// Records the graph sequence and every round's outputs.
     pub fn new() -> Self {
         TraceRecorder {
             trace: None,
-            reports: Vec::new(),
-            record_reports: true,
+            rounds: Vec::new(),
+            record_outputs: true,
         }
     }
 
@@ -200,8 +227,8 @@ impl<O: Clone> TraceRecorder<O> {
     pub fn graphs_only() -> Self {
         TraceRecorder {
             trace: None,
-            reports: Vec::new(),
-            record_reports: false,
+            rounds: Vec::new(),
+            record_outputs: false,
         }
     }
 
@@ -224,14 +251,14 @@ impl<O: Clone> TraceRecorder<O> {
     /// Consumes the recorder into an [`ExecutionRecord`].
     ///
     /// A recorder that never saw a round yields the empty record (a
-    /// zero-node, single-round trace with no reports) rather than
+    /// zero-node, single-round trace with no outputs) rather than
     /// panicking — `num_rounds() >= 1` distinguishes a real recording.
     pub fn into_record(self) -> ExecutionRecord<O> {
         ExecutionRecord {
             trace: self
                 .trace
                 .unwrap_or_else(|| DynamicGraphTrace::new(Graph::new(0))),
-            reports: self.reports,
+            rounds: self.rounds,
         }
     }
 }
@@ -248,14 +275,13 @@ impl<O: Clone> RoundObserver<O> for TraceRecorder<O> {
             // Delta path: record the handed delta as-is — no graph
             // conversion, no `GraphDelta::between` recomputation.
             (Some(t), Some(d)) => t.push_delta(d.clone()),
-            // Full-rebuild round mid-trace: fall back to diffing.
+            // A view without a delta mid-trace (the runner only sends
+            // those in round 0): fall back to diffing.
             (Some(t), None) => t.push(view.current_graph()),
             (None, _) => self.trace = Some(DynamicGraphTrace::new(view.current_graph().clone())),
         }
-        if self.record_reports {
-            self.reports.push(RoundReport {
-                round: view.round,
-                graph: Arc::clone(view.graph),
+        if self.record_outputs {
+            self.rounds.push(RoundRecord {
                 outputs: view.outputs.to_vec(),
                 newly_awake: view.newly_awake.to_vec(),
                 num_awake: view.num_awake,
@@ -273,8 +299,8 @@ impl<O: Clone> RoundObserver<O> for TraceRecorder<O> {
 /// is the initial state expressed as a delta from the all-asleep empty
 /// graph, so `dynnet_graph::codec::replay_log` reconstructs the final
 /// recorded graph without any side information. A small mirror [`Graph`]
-/// (`O(n + m)`, *not* `O(rounds)`) tracks the current topology so rounds
-/// that arrive without a delta (full CSR rebuilds) can be diffed.
+/// (`O(n + m)`, *not* `O(rounds)`) tracks the current topology so a round
+/// that arrives without a delta past round 0 can be diffed.
 ///
 /// IO and encode failures are sticky: the first [`CodecError`] stops the
 /// recording and is surfaced by [`DeltaLogRecorder::close`] — observers
@@ -383,7 +409,7 @@ impl<O> RoundObserver<O> for DeltaLogRecorder {
             // Delta path: the handed delta applies to the mirror exactly
             // as it applied to the simulator's graph.
             Some(d) => self.append(d.clone()),
-            // Full-rebuild round mid-trace: diff against the mirror.
+            // A view without a delta mid-trace: diff against the mirror.
             None => {
                 let delta = match &self.mirror {
                     Some(m) => GraphDelta::between(m, view.current_graph()),
@@ -674,7 +700,8 @@ mod tests {
         assert_eq!(record.num_rounds(), 2);
         assert_eq!(record.graph_at(1).edge_vec(), vec![Edge::of(1, 2)]);
         assert_eq!(record.outputs_at(1)[1], Some(2));
-        assert_eq!(record.reports[0].newly_awake, vec![NodeId::new(0)]);
+        assert_eq!(record.newly_awake_at(0), &[NodeId::new(0)]);
+        assert_eq!(record.num_awake_at(1), 3);
     }
 
     #[test]
@@ -687,7 +714,7 @@ mod tests {
         send_round(&mut rec, 0, &g0, &[Some(1), Some(2)], &[]);
         let record = rec.into_record();
         assert_eq!(record.trace.num_rounds(), 1);
-        assert!(record.reports.is_empty());
+        assert!(record.rounds.is_empty());
     }
 
     #[test]

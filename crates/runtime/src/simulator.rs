@@ -2,10 +2,10 @@
 //!
 //! One [`Simulator`] drives one distributed algorithm (one [`NodeAlgorithm`]
 //! instance per awake node) over a dynamic graph supplied round-by-round by
-//! the caller (usually an adversary from `dynnet-adversary`). Each call to
-//! [`Simulator::step`] executes one round of the paper's model:
+//! the caller (usually the `Scenario` runner of `dynnet-adversary`). Each
+//! call to [`Simulator::step_delta`] executes one round of the paper's model:
 //!
-//! 1. the caller passes the adversary's graph `G_r`,
+//! 1. the caller passes the adversary's graph `G_r` and its change `δ_r`,
 //! 2. nodes that become active wake up,
 //! 3. every awake node broadcasts one message to its current neighbors,
 //! 4. every awake node receives its neighbors' messages and updates state,
@@ -27,19 +27,18 @@
 //! shard-local inbox scratch vector, so the hot loops stream linearly and
 //! parallel shards never bounce cache lines. Work distribution and the
 //! budget-aware parallel threshold are described on
-//! [`SimConfig::budget_aware_threshold`].
+//! [`SimConfig::parallel_threshold`].
 //!
-//! Two round entry points exist: [`Simulator::step_streaming`] takes the
-//! whole graph and rebuilds the effective (awake-restricted) CSR snapshot,
-//! while [`Simulator::step_delta`] takes the round's [`GraphDelta`] and
-//! patches a persistent effective CSR in `O(|δ|)` — the fast path of the
-//! delta-native `Scenario` pipeline. Both paths produce identical executions.
+//! [`Simulator::step_delta`] is the only round entry point. Round 0 builds
+//! the effective (awake-restricted) CSR from the whole graph; every later
+//! round patches that persistent CSR with the round's [`GraphDelta`] in
+//! `O(|δ|)`.
 
 use crate::algorithm::{AlgorithmFactory, NodeAlgorithm, NodeContext};
 use crate::node_state::AwakeSet;
 use crate::rng::node_round_rng;
 use crate::wakeup::WakeupSchedule;
-use dynnet_graph::{CsrApplyOutcome, CsrGraph, DynamicGraphTrace, Edge, Graph, GraphDelta, NodeId};
+use dynnet_graph::{CsrApplyOutcome, CsrGraph, Edge, Graph, GraphDelta, NodeId};
 use std::sync::Arc;
 
 /// Simulator configuration.
@@ -50,22 +49,20 @@ pub struct SimConfig {
     /// Execute the per-node phases on the rayon thread pool.
     pub parallel: bool,
     /// Minimum number of awake nodes before the parallel path is used
-    /// (below this the sequential path is faster).
-    pub parallel_threshold: usize,
-    /// Scale [`SimConfig::parallel_threshold`] by the thread-budget pressure
-    /// (default `true`).
+    /// (below this the sequential path is faster), scaled by the
+    /// thread-budget pressure.
     ///
     /// Per-round parallel setup (chunk planning, pool wakeups, the atomic
     /// ticket) amortizes over the threads a call actually fans out to.
     /// When an outer scheduler — e.g. a sharded sweep — has claimed part of
     /// the budget via `rayon::claim_threads`, the effective width
-    /// (`budget / claimed`) shrinks and the same `parallel_threshold` would
-    /// let cells pay full setup for a fraction of the fan-out. With this
-    /// flag set, the threshold is multiplied by `budget / effective_width`,
-    /// and a width of 1 (budget fully claimed, or a single-core budget)
-    /// skips the parallel path outright. Purely a scheduling decision:
-    /// results are bit-identical either way.
-    pub budget_aware_threshold: bool,
+    /// (`budget / claimed`) shrinks and the same threshold would let cells
+    /// pay full setup for a fraction of the fan-out. The threshold is
+    /// therefore multiplied by `budget / effective_width`, and a width of 1
+    /// (budget fully claimed, or a single-core budget) skips the parallel
+    /// path outright. Purely a scheduling decision: results are
+    /// bit-identical either way.
+    pub parallel_threshold: usize,
 }
 
 impl Default for SimConfig {
@@ -74,7 +71,6 @@ impl Default for SimConfig {
             seed: 0,
             parallel: false,
             parallel_threshold: 512,
-            budget_aware_threshold: true,
         }
     }
 }
@@ -99,28 +95,7 @@ impl SimConfig {
     }
 }
 
-/// The result of executing one round, including a full clone of the output
-/// vector (the legacy "materialize everything" shape; streaming consumers use
-/// [`Simulator::step_streaming`] + [`crate::observer::RoundObserver`] and
-/// avoid the per-round `O(n)` output copy).
-#[derive(Clone, Debug)]
-pub struct RoundReport<O> {
-    /// The round that was executed (0-based).
-    pub round: u64,
-    /// Snapshot of the communication graph `G_r` used in this round (shared,
-    /// not cloned: every consumer of the same round sees the same `Arc`).
-    pub graph: Arc<CsrGraph>,
-    /// Output of every node (`None` for nodes that have not woken up yet —
-    /// the paper's nodes outside `V_r`).
-    pub outputs: Vec<Option<O>>,
-    /// Nodes that woke up in this round.
-    pub newly_awake: Vec<NodeId>,
-    /// Number of awake nodes at the end of the round.
-    pub num_awake: usize,
-}
-
-/// The lightweight result of [`Simulator::step_streaming`] /
-/// [`Simulator::step_delta`]: everything a
+/// The result of [`Simulator::step_delta`]: everything a
 /// [`crate::observer::RoundObserver`] needs that is not borrowed directly
 /// from the simulator. Outputs are *not* cloned — observers read them through
 /// [`crate::observer::RoundView::outputs`].
@@ -130,11 +105,10 @@ pub struct StepSummary {
     pub round: u64,
     /// Snapshot of the effective communication graph `G_r` over `V_r`.
     pub graph: Arc<CsrGraph>,
-    /// The change of the *effective* graph relative to the previous round —
-    /// `Some` whenever the round went through [`Simulator::step_delta`]
-    /// (valid even when a dense delta fell back to a full CSR rebuild),
-    /// `None` when no previous-round basis exists: round 0 and the
-    /// whole-graph [`Simulator::step_streaming`] entry point.
+    /// The change of the *effective* graph relative to the previous round:
+    /// `None` exactly in round 0, which has no previous-round basis, and
+    /// `Some` in every later round (valid even when a dense delta fell back
+    /// to a full CSR rebuild).
     pub delta: Option<GraphDelta>,
     /// Nodes that woke up in this round.
     pub newly_awake: Vec<NodeId>,
@@ -162,8 +136,7 @@ pub struct StepSummary {
 pub struct DeltaStats {
     /// Rounds whose effective CSR was patched in place from a delta.
     pub rounds_patched: usize,
-    /// Full effective-CSR builds: round 0, whole-graph steps, and
-    /// dense-delta fallbacks.
+    /// Full effective-CSR builds: round 0 and dense-delta fallbacks.
     pub full_csr_builds: usize,
     /// Copy-on-write clones of the effective CSR, forced when an observer
     /// retained the previous round's snapshot `Arc` across rounds.
@@ -174,7 +147,7 @@ pub struct DeltaStats {
 }
 
 /// Drives one [`NodeAlgorithm`] over a dynamic graph, one round per
-/// [`Simulator::step`] call.
+/// [`Simulator::step_delta`] call.
 pub struct Simulator<A, F, W>
 where
     A: NodeAlgorithm,
@@ -280,55 +253,25 @@ where
         self.nodes[v.index()].as_ref()
     }
 
-    /// Executes one round on the communication graph `graph` (the adversary's
-    /// `G_r` for `r = self.round()`).
+    /// Executes one round on the graph `graph` (the adversary's `G_r` for
+    /// `r = self.round()`), where `delta` is the change from the previous
+    /// round's adversary graph to `graph`. This is the simulator's only
+    /// round entry point.
     ///
     /// Nodes that have not woken up yet (because their wake-up schedule has
-    /// not fired) are not part of `V_r` in the paper's model; they are pruned
-    /// from the *effective* communication graph of the round, which is the
-    /// graph reported in [`RoundReport::graph`] and used for message
+    /// not fired) are not part of `V_r` in the paper's model; they are
+    /// pruned from the *effective* communication graph of the round, which
+    /// is the graph reported in [`StepSummary::graph`] and used for message
     /// delivery.
-    pub fn step(&mut self, graph: &Graph) -> RoundReport<A::Output> {
-        let summary = self.step_streaming(graph);
-        RoundReport {
-            round: summary.round,
-            graph: summary.graph,
-            outputs: self.outputs.clone(),
-            newly_awake: summary.newly_awake,
-            num_awake: summary.num_awake,
-        }
-    }
-
-    /// Executes one round like [`Simulator::step`], but without cloning the
-    /// output vector into the result: consumers read the outputs in place via
-    /// [`Simulator::outputs`]. The effective graph (the adversary's graph
-    /// restricted to awake nodes) is built directly from `graph` — the old
-    /// per-round "clone the whole `Graph`, deactivate the sleepers" dance is
-    /// gone. Streaming callers that hold the round's [`GraphDelta`] should
-    /// use [`Simulator::step_delta`], which patches the effective graph
-    /// incrementally instead of rebuilding it.
-    pub fn step_streaming(&mut self, graph: &Graph) -> StepSummary {
-        assert_eq!(graph.num_nodes(), self.n, "graph universe mismatch");
-        let round = self.next_round;
-        let newly_awake = {
-            let _span = dynnet_obs::phase_span("round", "wakeup");
-            self.run_wakeups(graph, round)
-        };
-        {
-            let _span = dynnet_obs::phase_span("round", "csr_rebuild");
-            self.rebuild_effective(graph);
-        }
-        self.finish_round(round, newly_awake, None)
-    }
-
-    /// Executes one round on the graph `graph` (the adversary's `G_r`),
-    /// where `delta` is the change from the previous round's adversary graph
-    /// to `graph`. The persistent effective CSR is patched in `O(|δ|)`: the
-    /// adversary's delta is filtered to awake endpoints, the edges of nodes
-    /// waking this round are folded in, and the result is applied in place —
-    /// no `Graph` clone, no full CSR rebuild (unless the delta is dense or
-    /// no previous state exists). This is the round primitive of the
-    /// delta-native `Scenario` pipeline.
+    ///
+    /// In round 0 `delta` is not consulted: the effective CSR is built from
+    /// `graph` directly and [`StepSummary::delta`] is `None` (callers pass
+    /// `GraphDelta::new()`). In every later round the persistent effective
+    /// CSR is patched in `O(|δ|)`: the adversary's delta is filtered to
+    /// awake endpoints, the edges of nodes waking this round are folded in,
+    /// and the result is applied in place — no `Graph` clone, no full CSR
+    /// rebuild (unless the delta is dense). To drive a whole-graph sequence,
+    /// pass `GraphDelta::between(&prev, &graph)`.
     pub fn step_delta(&mut self, graph: &Graph, delta: &GraphDelta) -> StepSummary {
         assert_eq!(graph.num_nodes(), self.n, "graph universe mismatch");
         let round = self.next_round;
@@ -454,7 +397,7 @@ where
         newly_awake
     }
 
-    /// Full build of the effective CSR (round 0 and the whole-graph path):
+    /// Full build of the effective CSR (round 0):
     /// constructed directly from `graph` with asleep nodes filtered out — no
     /// intermediate `Graph` clone.
     fn rebuild_effective(&mut self, graph: &Graph) {
@@ -468,10 +411,11 @@ where
         self.stats.full_csr_builds += 1;
     }
 
-    /// Phases 3–7 of the round, common to both step paths: instantiate the
-    /// newly awake nodes, run send/deliver/receive, publish outputs. Output
-    /// publication (and churn detection) is fused into the receive phase —
-    /// per shard on the parallel path — so no separate `O(n)` scan runs.
+    /// Phases 3–7 of the round, common to round 0 and the patched rounds:
+    /// instantiate the newly awake nodes, run send/deliver/receive, publish
+    /// outputs. Output publication (and churn detection) is fused into the
+    /// receive phase — per shard on the parallel path — so no separate
+    /// `O(n)` scan runs.
     fn finish_round(
         &mut self,
         round: u64,
@@ -513,17 +457,6 @@ where
         self.stats
     }
 
-    /// Runs the simulator over every graph of a recorded trace and returns
-    /// the per-round reports.
-    pub fn run_trace(&mut self, trace: &DynamicGraphTrace) -> Vec<RoundReport<A::Output>> {
-        trace.iter().map(|g| self.step(&g)).collect()
-    }
-
-    /// Runs `rounds` rounds on a static graph.
-    pub fn run_static(&mut self, graph: &Graph, rounds: usize) -> Vec<RoundReport<A::Output>> {
-        (0..rounds).map(|_| self.step(graph)).collect()
-    }
-
     fn context<'a>(
         &self,
         v: NodeId,
@@ -549,17 +482,13 @@ where
 
     /// Whether this round's phases run on the pool. Purely a scheduling
     /// decision — sequential and parallel execution are bit-identical — so
-    /// it may consult the live thread-budget state: with
-    /// [`SimConfig::budget_aware_threshold`] the awake-node threshold scales
-    /// with `budget / effective_width`, and an effective width of 1 (budget
-    /// fully claimed, or a single-core budget) skips parallel setup that
-    /// could never be amortized.
+    /// it may consult the live thread-budget state: the awake-node threshold
+    /// scales with `budget / effective_width`, and an effective width of 1
+    /// (budget fully claimed, or a single-core budget) skips parallel setup
+    /// that could never be amortized (see [`SimConfig::parallel_threshold`]).
     fn use_parallel(&self, awake: usize) -> bool {
         if !self.config.parallel {
             return false;
-        }
-        if !self.config.budget_aware_threshold {
-            return awake >= self.config.parallel_threshold;
         }
         let width = rayon::effective_width();
         if width <= 1 {
@@ -701,7 +630,7 @@ mod tests {
     use super::*;
     use crate::algorithm::Incoming;
     use crate::wakeup::{AllAtStart, ScriptedWakeup};
-    use dynnet_graph::{generators, Edge, Graph};
+    use dynnet_graph::{generators, DynamicGraphTrace, Edge, Graph};
     use rand::Rng;
 
     /// Every node outputs the maximum id it has heard of (including itself):
@@ -760,13 +689,15 @@ mod tests {
         let n = 8;
         let g = generators::path(n);
         let mut sim = Simulator::new(n, max_flood_factory, AllAtStart, SimConfig::sequential(1));
-        let reports = sim.run_static(&g, n);
-        let last = reports.last().unwrap();
-        for i in 0..n {
-            assert_eq!(last.outputs[i], Some((n - 1) as u32));
-        }
+        sim.step_delta(&g, &GraphDelta::new());
         // After a single round only direct neighbors of the max know it.
-        assert_eq!(reports[0].outputs[0], Some(1));
+        assert_eq!(sim.outputs()[0], Some(1));
+        for _ in 1..n {
+            sim.step_delta(&g, &GraphDelta::new());
+        }
+        for i in 0..n {
+            assert_eq!(sim.outputs()[i], Some((n - 1) as u32));
+        }
     }
 
     #[test]
@@ -777,14 +708,14 @@ mod tests {
             rounds: vec![0, 2, 5],
         };
         let mut sim = Simulator::new(n, max_flood_factory, wake, SimConfig::sequential(0));
-        let r0 = sim.step(&g);
-        assert!(r0.outputs[0].is_some());
-        assert!(r0.outputs[1].is_none());
+        let r0 = sim.step_delta(&g, &GraphDelta::new());
+        assert!(sim.outputs()[0].is_some());
+        assert!(sim.outputs()[1].is_none());
         assert_eq!(r0.newly_awake, vec![NodeId::new(0)]);
-        let _r1 = sim.step(&g);
-        let r2 = sim.step(&g);
-        assert!(r2.outputs[1].is_some());
-        assert!(r2.outputs[2].is_none());
+        let _r1 = sim.step_delta(&g, &GraphDelta::new());
+        let r2 = sim.step_delta(&g, &GraphDelta::new());
+        assert!(sim.outputs()[1].is_some());
+        assert!(sim.outputs()[2].is_none());
         assert_eq!(r2.num_awake, 2);
         assert_eq!(sim.woke_at(NodeId::new(1)), Some(2));
     }
@@ -796,10 +727,10 @@ mod tests {
         let empty = Graph::new(n);
         let connected = Graph::from_edges(n, [Edge::of(0, 1)]);
         let mut sim = Simulator::new(n, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        let r0 = sim.step(&empty);
-        assert_eq!(r0.outputs[0], Some(0));
-        let r1 = sim.step(&connected);
-        assert_eq!(r1.outputs[0], Some(1));
+        sim.step_delta(&empty, &GraphDelta::new());
+        assert_eq!(sim.outputs()[0], Some(0));
+        sim.step_delta(&connected, &GraphDelta::between(&empty, &connected));
+        assert_eq!(sim.outputs()[0], Some(1));
     }
 
     #[test]
@@ -814,7 +745,6 @@ mod tests {
                 seed: 9,
                 parallel: false,
                 parallel_threshold: 0,
-                ..SimConfig::default()
             },
         );
         let mut par = Simulator::new(
@@ -825,30 +755,35 @@ mod tests {
                 seed: 9,
                 parallel: true,
                 parallel_threshold: 0,
-                ..SimConfig::default()
             },
         );
         for _ in 0..5 {
-            let a = seq.step(&g);
-            let b = par.step(&g);
-            assert_eq!(a.outputs, b.outputs);
+            seq.step_delta(&g, &GraphDelta::new());
+            par.step_delta(&g, &GraphDelta::new());
+            assert_eq!(seq.outputs(), par.outputs());
         }
     }
 
     #[test]
-    fn run_trace_replays_each_round() {
+    fn recorded_trace_replays_through_step_delta() {
+        // A recorded trace replays through the single entry point: round 0
+        // on the trace's first graph, then one recorded delta per round.
         let g0 = Graph::from_edges(3, [Edge::of(0, 1)]);
         let g1 = Graph::from_edges(3, [Edge::of(1, 2)]);
-        let mut trace = DynamicGraphTrace::new(g0);
+        let mut trace = DynamicGraphTrace::new(g0.clone());
         trace.push(&g1);
         let mut sim = Simulator::new(3, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        let reports = sim.run_trace(&trace);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].round, 0);
-        assert_eq!(reports[1].round, 1);
+        let mut graph = g0;
+        let mut rounds = vec![sim.step_delta(&graph, &GraphDelta::new()).round];
+        for delta in trace.deltas() {
+            delta.apply(&mut graph);
+            rounds.push(sim.step_delta(&graph, delta).round);
+        }
+        assert_eq!(rounds, vec![0, 1]);
+        assert_eq!(graph, g1);
         // Node 0 hears 1 in round 0; node 1 hears 2 in round 1; 0 never hears 2.
-        assert_eq!(reports[1].outputs[0], Some(1));
-        assert_eq!(reports[1].outputs[1], Some(2));
+        assert_eq!(sim.outputs()[0], Some(1));
+        assert_eq!(sim.outputs()[1], Some(2));
     }
 
     #[test]
@@ -858,7 +793,7 @@ mod tests {
         let n = 4;
         let g0 = Graph::from_edges(n, [Edge::of(0, 1)]);
         let mut sim = Simulator::new(n, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        sim.step_streaming(&g0);
+        sim.step_delta(&g0, &GraphDelta::new());
         let mut delta = GraphDelta::new();
         delta.insert(NodeId::new(2), NodeId::new(3));
         delta.remove(NodeId::new(2), NodeId::new(3));
@@ -874,7 +809,8 @@ mod tests {
         // Adversary deactivates node 0, then inserts {0, 2} while node 2 is
         // still asleep: the edge is pruned from the effective graph, but the
         // insertion's implicit re-activation of (awake) node 0 must still
-        // reach the incremental CSR — exactly as on the whole-graph path.
+        // reach the incremental CSR — exactly as a from-scratch build of the
+        // awake-restricted graph has it.
         let n = 3;
         let wake = ScriptedWakeup {
             rounds: vec![0, 0, 9],
@@ -888,26 +824,21 @@ mod tests {
         let g1 = d1.materialize(&g0);
         let g2 = d2.materialize(&g1);
 
-        let mut by_delta =
-            Simulator::new(n, max_flood_factory, wake.clone(), SimConfig::sequential(0));
-        by_delta.step_streaming(&g0);
-        by_delta.step_delta(&g1, &d1);
-        let s_delta = by_delta.step_delta(&g2, &d2);
+        let mut sim = Simulator::new(n, max_flood_factory, wake, SimConfig::sequential(0));
+        sim.step_delta(&g0, &GraphDelta::new());
+        sim.step_delta(&g1, &d1);
+        let s_delta = sim.step_delta(&g2, &d2);
 
-        let mut by_graph = Simulator::new(n, max_flood_factory, wake, SimConfig::sequential(0));
-        by_graph.step_streaming(&g0);
-        by_graph.step_streaming(&g1);
-        let s_ref = by_graph.step_streaming(&g2);
-
+        let reference = CsrGraph::from_graph_filtered(&g2, |v| sim.is_awake(v));
         assert!(s_delta.graph.is_active(NodeId::new(0)));
-        assert_eq!(*s_delta.graph, *s_ref.graph);
+        assert_eq!(*s_delta.graph, reference);
     }
 
     #[test]
     fn node_accessor_exposes_state() {
         let g = generators::complete(3);
         let mut sim = Simulator::new(3, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        sim.step(&g);
+        sim.step_delta(&g, &GraphDelta::new());
         assert_eq!(sim.node(NodeId::new(0)).unwrap().best, 2);
         assert_eq!(sim.round(), 1);
         assert!(sim.is_awake(NodeId::new(2)));

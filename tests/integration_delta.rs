@@ -3,9 +3,10 @@
 //! The pipeline's contract is: for every adversary, the incremental path
 //! (adversary emits a `GraphDelta`, the runner patches one persistent
 //! `Graph`, the simulator patches one persistent effective CSR) produces
-//! **exactly** the execution the legacy whole-graph path produced — same
-//! effective graph snapshot and same outputs every round — while performing
-//! zero `Graph` clones and zero full CSR rebuilds in steady state.
+//! **exactly** the execution a from-scratch reading of the same graph
+//! sequence produces — same effective graph snapshot and same outputs every
+//! round — while performing zero `Graph` clones and zero full CSR rebuilds
+//! in steady state.
 
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
@@ -38,14 +39,22 @@ fn flood(v: NodeId) -> MaxFlood {
 }
 
 /// Runs `rounds` rounds of the same (adversary, wake-up, seed) execution
-/// twice — once through the legacy whole-graph path (`next_graph` +
-/// `step_streaming`, full CSR rebuild every round) and once through the
-/// delta path (`next_delta` + `step_delta`, incremental CSR) — and asserts
-/// that after every round the incremental effective CSR equals the CSR built
-/// from scratch from the materialized graph, and that the outputs agree.
+/// twice — once on the adversary's own deltas (`next_delta` + `step_delta`,
+/// incremental CSR: the runner's path) and once on the whole graph
+/// sequence, each round's delta re-derived with `GraphDelta::between`.
+/// After every round it asserts that
+///
+/// * the incremental effective CSR equals the CSR built from scratch from
+///   the adversary graph over the awake nodes,
+/// * both executions publish the same outputs,
+/// * `StepSummary::delta` is `None` exactly in round 0 (the verifier seeds
+///   from that round's view), and
+/// * for oblivious adversaries (`next_graph` given), the patched graph
+///   equals the adversary's whole-graph `next_graph` sequence.
 fn assert_delta_path_equivalent<Adv, W>(
     name: &str,
     make_adversary: impl Fn() -> Adv,
+    next_graph: Option<fn(&mut Adv, u64, &Graph) -> Graph>,
     wakeup: W,
     rounds: usize,
     parallel: bool,
@@ -57,47 +66,57 @@ fn assert_delta_path_equivalent<Adv, W>(
         seed: 11,
         parallel,
         parallel_threshold: 0,
-        ..SimConfig::default()
     };
 
-    // Reference execution: whole graphs, CSR rebuilt from scratch per round.
-    let mut ref_adv = make_adversary();
-    let mut ref_graph = ref_adv.initial_graph();
-    let n = ref_graph.num_nodes();
-    let mut ref_sim = Simulator::new(n, flood, wakeup.clone(), config.clone());
-    let mut ref_csrs = Vec::new();
-    let mut ref_outputs = Vec::new();
-    for r in 0..rounds as u64 {
-        if r > 0 {
-            ref_graph = ref_adv.next_graph(r, &ref_graph, ref_sim.outputs());
-        }
-        let summary = ref_sim.step_streaming(&ref_graph);
-        ref_csrs.push(summary.graph);
-        ref_outputs.push(ref_sim.outputs().to_vec());
-    }
-
-    // Delta execution: one persistent graph patched per round, incremental
-    // effective CSR.
     let mut adv = make_adversary();
-    let mut sim = Simulator::new(n, flood, wakeup, config);
     let mut graph = adv.initial_graph();
+    let n = graph.num_nodes();
+    let mut sim = Simulator::new(n, flood, wakeup.clone(), config.clone());
+    // Reference execution: whole graphs, deltas re-derived by diffing.
+    let mut ref_sim = Simulator::new(n, flood, wakeup, config);
+    let mut ref_prev = graph.clone();
+    // Whole-graph oracle of oblivious adversaries.
+    let mut oracle = make_adversary();
+    let mut oracle_graph = oracle.initial_graph();
     for r in 0..rounds as u64 {
         let summary = if r == 0 {
-            sim.step_streaming(&graph)
+            sim.step_delta(&graph, &GraphDelta::new())
         } else {
             let delta = adv.next_delta(r, &graph, sim.outputs());
             delta.apply(&mut graph);
             sim.step_delta(&graph, &delta)
         };
+        let ref_summary = ref_sim.step_delta(&graph, &GraphDelta::between(&ref_prev, &graph));
+        ref_prev.clone_from(&graph);
+
         assert_eq!(
-            *summary.graph, *ref_csrs[r as usize],
+            summary.delta.is_none(),
+            r == 0,
+            "{name}: the effective delta must be None exactly in round 0 (round {r})"
+        );
+        let scratch = CsrGraph::from_graph_filtered(&graph, |v| sim.is_awake(v));
+        assert_eq!(
+            *summary.graph, scratch,
             "{name}: incremental CSR diverged from the from-scratch CSR in round {r}"
         );
         assert_eq!(
+            *ref_summary.graph, scratch,
+            "{name}: re-derived-delta CSR diverged from the from-scratch CSR in round {r}"
+        );
+        assert_eq!(
             sim.outputs(),
-            &ref_outputs[r as usize][..],
+            ref_sim.outputs(),
             "{name}: outputs diverged in round {r}"
         );
+        if let Some(next_graph) = next_graph {
+            if r > 0 {
+                oracle_graph = next_graph(&mut oracle, r, &oracle_graph);
+            }
+            assert_eq!(
+                graph, oracle_graph,
+                "{name}: patched graph diverged from the next_graph sequence in round {r}"
+            );
+        }
     }
     // Every round after round 0 must have been served by the incremental
     // path (the adversaries in this test are sparse per round).
@@ -131,6 +150,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "flip-churn",
             || FlipChurnAdversary::new(&footprint(n, "flip"), 0.05, 21),
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -138,6 +158,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "markov-churn",
             || MarkovChurnAdversary::new(&footprint(n, "markov"), 0.2, 0.3, false, 22),
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -145,6 +166,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "rate-churn",
             || RateChurnAdversary::new(footprint(n, "rate"), 3, 2, 23),
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -152,6 +174,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "burst",
             || BurstAdversary::new(footprint(n, "burst"), 5, 3, 4, 24),
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -169,6 +192,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
                     25,
                 )
             },
+            Some(Adversary::next_graph),
             AllAtStart,
             rounds,
             parallel,
@@ -176,6 +200,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "node-churn",
             || NodeChurnAdversary::new(footprint(n, "nodes"), 0.1, 0.3, 26),
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -183,6 +208,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "growth",
             || GrowthAdversary::new(footprint(n, "growth"), 2, 3),
+            Some(Adversary::next_graph),
             AllAtStart,
             rounds,
             parallel,
@@ -198,6 +224,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
                     27,
                 )
             },
+            Some(Adversary::next_graph),
             AllAtStart,
             rounds,
             parallel,
@@ -205,6 +232,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
         assert_delta_path_equivalent(
             "static",
             || StaticAdversary::new(footprint(n, "static")),
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -223,6 +251,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
                 }
                 ScriptedAdversary::new(trace)
             },
+            Some(Adversary::next_graph),
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -239,6 +268,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
                     (10, Box::new(StaticAdversary::new(footprint(n, "p2")))),
                 ])
             },
+            Some(Adversary::next_graph),
             AllAtStart,
             rounds,
             parallel,
@@ -255,6 +285,7 @@ fn delta_equivalence_all_adversaries_sequential_and_parallel() {
                     30,
                 )
             },
+            None,
             late_wakeup(n, rounds),
             rounds,
             parallel,
@@ -342,18 +373,33 @@ fn recorded_delta_trace_matches_whole_graph_replay() {
         .run(&mut [&mut recorder]);
     let record = recorder.into_record();
 
-    // Reference: same execution through the legacy shim (whole-graph path).
+    // Reference: the same execution on the adversary's whole graphs
+    // (`next_graph`), each round's delta re-derived by diffing.
     let mut sim = Simulator::new(n, flood, wake, SimConfig::sequential(2));
     let mut adv = MarkovChurnAdversary::new(&fp, 0.3, 0.2, true, 41);
-    let legacy = run(&mut sim, &mut adv, rounds);
+    let mut prev = Adversary::initial_graph(&mut adv);
+    let mut graphs = Vec::new();
+    let mut outputs = Vec::new();
+    for r in 0..rounds as u64 {
+        let summary = if r == 0 {
+            sim.step_delta(&prev, &GraphDelta::new())
+        } else {
+            let next = adv.next_graph(r, &prev);
+            let summary = sim.step_delta(&next, &GraphDelta::between(&prev, &next));
+            prev = next;
+            summary
+        };
+        graphs.push(summary.graph.to_graph());
+        outputs.push(sim.outputs().to_vec());
+    }
 
-    assert_eq!(record.num_rounds(), legacy.num_rounds());
+    assert_eq!(record.num_rounds(), rounds);
     for r in 0..rounds {
         assert_eq!(
             record.graph_at(r),
-            legacy.graph_at(r),
+            graphs[r],
             "effective graph of round {r}"
         );
-        assert_eq!(record.outputs_at(r), legacy.outputs_at(r), "round {r}");
+        assert_eq!(record.outputs_at(r), &outputs[r][..], "round {r}");
     }
 }

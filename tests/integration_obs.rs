@@ -329,7 +329,7 @@ fn span_coverage_100k() {
     );
     // Warm round (full CSR build) stays untraced.
     obs::set_enabled(false);
-    sim.step_streaming(&g);
+    sim.step_delta(&g, &GraphDelta::new());
 
     let mut last_ratio = 0.0f64;
     for round in 1..=3u64 {

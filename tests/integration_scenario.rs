@@ -1,11 +1,11 @@
 //! Integration tests for the unified `Scenario` runner API and its streaming
 //! observers: determinism through the builder, sequential-vs-parallel
 //! agreement, equivalence of the streaming `TDynamicVerifier` with the batch
-//! `verify_t_dynamic_run`, and equivalence of the `Scenario` path with the
-//! legacy `adversary::run` shim.
+//! `verify_t_dynamic_run`.
 
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
+use dynnet::runtime::ExecutionRecord;
 
 fn record_run(seed: u64, parallel: bool) -> ExecutionRecord<ColorOutput> {
     let n = 48;
@@ -39,8 +39,8 @@ fn same_seed_gives_bit_identical_records_through_scenario() {
             b.graph_at(r).edge_vec(),
             "graphs diverge in round {r}"
         );
-        assert_eq!(a.reports[r].newly_awake, b.reports[r].newly_awake);
-        assert_eq!(a.reports[r].num_awake, b.reports[r].num_awake);
+        assert_eq!(a.newly_awake_at(r), b.newly_awake_at(r));
+        assert_eq!(a.num_awake_at(r), b.num_awake_at(r));
     }
     // A different seed must diverge somewhere.
     let c = record_run(8, false);
@@ -118,44 +118,6 @@ fn streaming_verifier_matches_batch_verifier_on_a_recorded_run() {
         streaming_summary.invalid_rounds,
         batch_summary.invalid_rounds
     );
-}
-
-#[test]
-fn scenario_path_equals_legacy_run_shim() {
-    let n = 32;
-    let window = recommended_window(n);
-    let rounds = window + 5;
-    let footprint = generators::erdos_renyi_avg_degree(n, 5.0, &mut experiment_rng(3, "scn3"));
-
-    // Legacy wiring.
-    let mut sim = Simulator::new(
-        n,
-        dynamic_coloring(window),
-        AllAtStart,
-        SimConfig::sequential(4),
-    );
-    let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 21);
-    let legacy = run(&mut sim, &mut adv, rounds);
-
-    // Scenario wiring.
-    let mut recorder = TraceRecorder::new();
-    Scenario::new(n)
-        .algorithm(dynamic_coloring(window))
-        .adversary(FlipChurnAdversary::new(&footprint, 0.02, 21))
-        .seed(4)
-        .rounds(rounds)
-        .run(&mut [&mut recorder]);
-    let record = recorder.into_record();
-
-    assert_eq!(legacy.num_rounds(), record.num_rounds());
-    for r in 0..rounds {
-        assert_eq!(legacy.outputs_at(r), record.outputs_at(r), "round {r}");
-        assert_eq!(
-            legacy.graph_at(r).edge_vec(),
-            record.graph_at(r).edge_vec(),
-            "round {r}"
-        );
-    }
 }
 
 #[test]
