@@ -24,7 +24,9 @@ impl Summary {
     /// Computes the summary of a sample. Returns an all-zero summary for an
     /// empty slice.
     pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
+        let mut sorted: Vec<f64> = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
             return Summary {
                 count: 0,
                 mean: 0.0,
@@ -34,7 +36,7 @@ impl Summary {
                 median: 0.0,
                 p95: 0.0,
             };
-        }
+        };
         let count = values.len();
         let mean = values.iter().sum::<f64>() / count as f64;
         let var = if count >= 2 {
@@ -42,14 +44,12 @@ impl Summary {
         } else {
             0.0
         };
-        let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
         Summary {
             count,
             mean,
             stddev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
+            min,
+            max,
             median: quantile_sorted(&sorted, 0.5),
             p95: quantile_sorted(&sorted, 0.95),
         }
@@ -64,17 +64,20 @@ impl Summary {
 /// Quantile of an already-sorted sample using linear interpolation.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q));
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    if sorted.len() == 1 {
-        return sorted[0];
+    match sorted {
+        [] => return 0.0,
+        [only] => return *only,
+        _ => {}
     }
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    // `q ≤ 1` keeps `pos ≤ len - 1`, so both ranks are in bounds.
+    match (sorted.get(lo), sorted.get(hi)) {
+        (Some(&a), Some(&b)) => a * (1.0 - frac) + b * frac,
+        _ => 0.0,
+    }
 }
 
 #[cfg(test)]
