@@ -57,7 +57,7 @@ impl DMis {
     /// downgrades itself to `Undecided` and participates normally. In a
     /// locally static neighborhood the dominator is present and marks the
     /// node, so the downgrade never fires there and the locally-static
-    /// stability of Theorem 1.1 is unaffected. See DESIGN.md §"Deviations".
+    /// stability of Theorem 1.1 is unaffected.
     pub fn new(_v: NodeId, input: MisOutput) -> Self {
         DMis {
             state: input,

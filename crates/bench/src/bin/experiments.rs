@@ -1,6 +1,6 @@
-//! Experiment harness: regenerates every experiment table recorded in
-//! EXPERIMENTS.md, running multi-scenario experiments on the sharded
-//! work-stealing sweep engine.
+//! Experiment harness: writes every experiment's tables to `results/eN.md`,
+//! running multi-scenario experiments on the sharded work-stealing sweep
+//! engine.
 //!
 //! ```text
 //! cargo run --release -p dynnet-bench --bin experiments -- all

@@ -72,68 +72,66 @@ pub fn e9_oblivious_vs_adaptive(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid1("e9", cases, |&(name, adaptive)| {
         (name.to_string(), (name, adaptive))
     });
-    ctx.engine
-        .aggregate(
-            &spec,
-            |cell| {
-                let (name, adaptive) = cell.params;
-                let footprint = generators::grid(16, 16);
-                let mut undecided = UndecidedNodeRounds {
-                    from: window as u64,
-                    total: 0,
-                };
-                let mut violations = IntersectionViolations {
-                    window: GraphWindow::new(n, window),
-                    total: 0,
-                };
-                let mut verifier = TDynamicVerifier::new(MisProblem, window);
-                let mut churn = ChurnStats::new();
-                let observers: &mut [&mut dyn RoundObserver<MisOutput>] =
-                    &mut [&mut undecided, &mut violations, &mut verifier, &mut churn];
-                let scenario = Scenario::new(n)
-                    .algorithm(dynamic_mis(n, window))
-                    .seed(9)
-                    .rounds(rounds);
-                if adaptive {
-                    let adv: ConflictSeekingAdversary<MisOutput, _> = ConflictSeekingAdversary::new(
-                        footprint.clone(),
-                        |a: &MisOutput, b: &MisOutput| a.in_mis() && b.in_mis(),
-                        8,
-                        0.02,
-                        (2 * window) as u64,
-                        91,
-                    );
-                    scenario.adversary(adv).run(observers);
-                } else {
-                    scenario
-                        .adversary(FlipChurnAdversary::new(&footprint, 0.02, 90))
-                        .run(observers);
-                }
-                let summary = verifier.into_summary();
-                let churn_rate = churn.total_from(window) as f64 / (rounds - window) as f64;
-                vec![
-                    name.to_string(),
-                    undecided.total.to_string(),
-                    violations.total.to_string(),
-                    format!("{}/{}", summary.rounds_valid, summary.rounds_checked),
-                    fmt2(churn_rate),
-                ]
-            },
-            CellRows::new(
-                format!(
-                    "E9 — Combined MIS against oblivious vs. adaptive adversaries, n = {n}, T = {window}"
-                ),
-                &[
-                    "adversary",
-                    "undecided node-rounds (lower = faster progress)",
-                    "independence violations on G^∩T (total)",
-                    "T-dynamic valid rounds",
-                    "output changes/round",
-                ],
-                |_cell: &Cell<(&str, bool)>, row: Vec<String>| vec![row],
+    ctx.aggregate(
+        &spec,
+        |cell| {
+            let (name, adaptive) = cell.params;
+            let footprint = generators::grid(16, 16);
+            let mut undecided = UndecidedNodeRounds {
+                from: window as u64,
+                total: 0,
+            };
+            let mut violations = IntersectionViolations {
+                window: GraphWindow::new(n, window),
+                total: 0,
+            };
+            let mut verifier = TDynamicVerifier::new(MisProblem, window);
+            let mut churn = ChurnStats::new();
+            let observers: &mut [&mut dyn RoundObserver<MisOutput>] =
+                &mut [&mut undecided, &mut violations, &mut verifier, &mut churn];
+            let scenario = Scenario::new(n)
+                .algorithm(dynamic_mis(n, window))
+                .seed(9)
+                .rounds(rounds);
+            if adaptive {
+                let adv: ConflictSeekingAdversary<MisOutput, _> = ConflictSeekingAdversary::new(
+                    footprint.clone(),
+                    |a: &MisOutput, b: &MisOutput| a.in_mis() && b.in_mis(),
+                    8,
+                    0.02,
+                    (2 * window) as u64,
+                    91,
+                );
+                scenario.adversary(adv).run(observers);
+            } else {
+                scenario
+                    .adversary(FlipChurnAdversary::new(&footprint, 0.02, 90))
+                    .run(observers);
+            }
+            let summary = verifier.into_summary();
+            let churn_rate = churn.total_from(window) as f64 / (rounds - window) as f64;
+            vec![
+                name.to_string(),
+                undecided.total.to_string(),
+                violations.total.to_string(),
+                format!("{}/{}", summary.rounds_valid, summary.rounds_checked),
+                fmt2(churn_rate),
+            ]
+        },
+        CellRows::new(
+            format!(
+                "E9 — Combined MIS against oblivious vs. adaptive adversaries, n = {n}, T = {window}"
             ),
-        )
-        .expect("e9 sweep")
+            &[
+                "adversary",
+                "undecided node-rounds (lower = faster progress)",
+                "independence violations on G^∩T (total)",
+                "T-dynamic valid rounds",
+                "output changes/round",
+            ],
+            |_cell: &Cell<(&str, bool)>, row: Vec<String>| vec![row],
+        ),
+    )
 }
 
 /// E11: Concat vs. restart-from-scratch on identical schedules, for both
@@ -155,112 +153,110 @@ pub fn e11_concat_vs_restart(ctx: &ExpContext) -> Vec<Table> {
     });
     let steady = move |total: usize| total as f64 / (rounds - 2 * window) as f64;
     let period = window as u64;
-    ctx.engine
-        .aggregate(
-            &spec,
-            move |cell| {
+    ctx.aggregate(
+        &spec,
+        move |cell| {
+            let (churn, problem) = cell.params;
+            let footprint = generators::shared_footprint(
+                &generators::GraphFamily::ErdosRenyi { avg_degree: 8.0 },
+                n,
+                11,
+                "e11",
+                || generators::erdos_renyi_avg_degree(n, 8.0, &mut experiment_rng(11, "e11")),
+            );
+            if problem == "coloring" {
+                let mut concat_verifier = TDynamicVerifier::new(ColoringProblem, window);
+                let mut concat_churn = ChurnStats::new();
+                let mut recorder = TraceRecorder::graphs_only();
+                Scenario::new(n)
+                    .algorithm(dynamic_coloring(window))
+                    .adversary(FlipChurnAdversary::new(
+                        &footprint,
+                        churn,
+                        500 + (churn * 1e4) as u64,
+                    ))
+                    .seed(11)
+                    .rounds(rounds)
+                    .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
+                let concat_summary = concat_verifier.into_summary();
+
+                let mut restart_verifier = TDynamicVerifier::new(ColoringProblem, window);
+                let mut restart_churn = ChurnStats::new();
+                Scenario::new(n)
+                    .algorithm(move |v: NodeId| RestartColoring::new(v, period))
+                    .adversary(ScriptedAdversary::new(recorder.into_trace().expect("recorded trace")))
+                    .seed(12)
+                    .rounds(rounds)
+                    .run(&mut [&mut restart_verifier, &mut restart_churn]);
+                let restart_summary = restart_verifier.into_summary();
+                (
+                    concat_summary,
+                    restart_summary,
+                    concat_churn.total_from(2 * window),
+                    restart_churn.total_from(2 * window),
+                )
+            } else {
+                let mut concat_verifier = TDynamicVerifier::new(MisProblem, window);
+                let mut concat_churn = ChurnStats::new();
+                let mut recorder = TraceRecorder::graphs_only();
+                Scenario::new(n)
+                    .algorithm(dynamic_mis(n, window))
+                    .adversary(FlipChurnAdversary::new(
+                        &footprint,
+                        churn,
+                        600 + (churn * 1e4) as u64,
+                    ))
+                    .seed(13)
+                    .rounds(rounds)
+                    .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
+                let concat_summary = concat_verifier.into_summary();
+
+                let mut restart_verifier = TDynamicVerifier::new(MisProblem, window);
+                let mut restart_churn = ChurnStats::new();
+                Scenario::new(n)
+                    .algorithm(move |v: NodeId| RestartMis::new(v, period))
+                    .adversary(ScriptedAdversary::new(recorder.into_trace().expect("recorded trace")))
+                    .seed(14)
+                    .rounds(rounds)
+                    .run(&mut [&mut restart_verifier, &mut restart_churn]);
+                let restart_summary = restart_verifier.into_summary();
+                (
+                    concat_summary,
+                    restart_summary,
+                    concat_churn.total_from(2 * window),
+                    restart_churn.total_from(2 * window),
+                )
+            }
+        },
+        CellRows::new(
+            format!("E11 — Concat (Corollaries 1.2/1.3) vs. restart-every-T strawman, n = {n}, T = {window}"),
+            &[
+                "problem",
+                "churn p",
+                "Concat valid rounds",
+                "restart valid rounds",
+                "Concat output changes/round",
+                "restart output changes/round",
+            ],
+            move |cell: &Cell<(f64, &str)>,
+                  (concat, restart, concat_changes, restart_changes): (
+                VerificationSummary,
+                VerificationSummary,
+                usize,
+                usize,
+            )| {
                 let (churn, problem) = cell.params;
-                let footprint = generators::shared_footprint(
-                    &generators::GraphFamily::ErdosRenyi { avg_degree: 8.0 },
-                    n,
-                    11,
-                    "e11",
-                    || generators::erdos_renyi_avg_degree(n, 8.0, &mut experiment_rng(11, "e11")),
-                );
-                if problem == "coloring" {
-                    let mut concat_verifier = TDynamicVerifier::new(ColoringProblem, window);
-                    let mut concat_churn = ChurnStats::new();
-                    let mut recorder = TraceRecorder::graphs_only();
-                    Scenario::new(n)
-                        .algorithm(dynamic_coloring(window))
-                        .adversary(FlipChurnAdversary::new(
-                            &footprint,
-                            churn,
-                            500 + (churn * 1e4) as u64,
-                        ))
-                        .seed(11)
-                        .rounds(rounds)
-                        .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
-                    let concat_summary = concat_verifier.into_summary();
-
-                    let mut restart_verifier = TDynamicVerifier::new(ColoringProblem, window);
-                    let mut restart_churn = ChurnStats::new();
-                    Scenario::new(n)
-                        .algorithm(move |v: NodeId| RestartColoring::new(v, period))
-                        .adversary(ScriptedAdversary::new(recorder.into_trace().expect("recorded trace")))
-                        .seed(12)
-                        .rounds(rounds)
-                        .run(&mut [&mut restart_verifier, &mut restart_churn]);
-                    let restart_summary = restart_verifier.into_summary();
-                    (
-                        concat_summary,
-                        restart_summary,
-                        concat_churn.total_from(2 * window),
-                        restart_churn.total_from(2 * window),
-                    )
-                } else {
-                    let mut concat_verifier = TDynamicVerifier::new(MisProblem, window);
-                    let mut concat_churn = ChurnStats::new();
-                    let mut recorder = TraceRecorder::graphs_only();
-                    Scenario::new(n)
-                        .algorithm(dynamic_mis(n, window))
-                        .adversary(FlipChurnAdversary::new(
-                            &footprint,
-                            churn,
-                            600 + (churn * 1e4) as u64,
-                        ))
-                        .seed(13)
-                        .rounds(rounds)
-                        .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
-                    let concat_summary = concat_verifier.into_summary();
-
-                    let mut restart_verifier = TDynamicVerifier::new(MisProblem, window);
-                    let mut restart_churn = ChurnStats::new();
-                    Scenario::new(n)
-                        .algorithm(move |v: NodeId| RestartMis::new(v, period))
-                        .adversary(ScriptedAdversary::new(recorder.into_trace().expect("recorded trace")))
-                        .seed(14)
-                        .rounds(rounds)
-                        .run(&mut [&mut restart_verifier, &mut restart_churn]);
-                    let restart_summary = restart_verifier.into_summary();
-                    (
-                        concat_summary,
-                        restart_summary,
-                        concat_churn.total_from(2 * window),
-                        restart_churn.total_from(2 * window),
-                    )
-                }
+                vec![vec![
+                    problem.to_string(),
+                    format!("{churn}"),
+                    format!("{}/{}", concat.rounds_valid, concat.rounds_checked),
+                    format!("{}/{}", restart.rounds_valid, restart.rounds_checked),
+                    fmt2(steady(concat_changes)),
+                    fmt2(steady(restart_changes)),
+                ]]
             },
-            CellRows::new(
-                format!("E11 — Concat (Corollaries 1.2/1.3) vs. restart-every-T strawman, n = {n}, T = {window}"),
-                &[
-                    "problem",
-                    "churn p",
-                    "Concat valid rounds",
-                    "restart valid rounds",
-                    "Concat output changes/round",
-                    "restart output changes/round",
-                ],
-                move |cell: &Cell<(f64, &str)>,
-                      (concat, restart, concat_changes, restart_changes): (
-                    VerificationSummary,
-                    VerificationSummary,
-                    usize,
-                    usize,
-                )| {
-                    let (churn, problem) = cell.params;
-                    vec![vec![
-                        problem.to_string(),
-                        format!("{churn}"),
-                        format!("{}/{}", concat.rounds_valid, concat.rounds_checked),
-                        format!("{}/{}", restart.rounds_valid, restart.rounds_checked),
-                        fmt2(steady(concat_changes)),
-                        fmt2(steady(restart_changes)),
-                    ]]
-                },
-            ),
-        )
-        .expect("e11 sweep")
+        ),
+    )
 }
 
 /// Streaming observer running one TDMA frame per round (from `from` on).
@@ -394,7 +390,7 @@ pub fn e14_simulator_throughput(ctx: &ExpContext) -> Vec<Table> {
             parallel,
             parallel_threshold: 0,
         };
-        // TIMING: this experiment (E13) measures wall-clock speedup; timings
+        // TIMING: this experiment (E14) measures wall-clock speedup; timings
         // are reported as measurements, not mixed into simulation output.
         let start = Instant::now();
         if combined {

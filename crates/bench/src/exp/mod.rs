@@ -1,8 +1,8 @@
 //! Experiment implementations. Each `eN` function returns the Markdown
-//! tables that EXPERIMENTS.md records for that experiment.
+//! tables the harness writes to `results/eN.md` for that experiment.
 //!
 //! The experiment ids (E1–E14) and the claims they validate are listed in
-//! DESIGN.md §5. All experiments are deterministic given their hard-coded
+//! [`registry`]. All experiments are deterministic given their hard-coded
 //! seeds and run on a laptop in a few minutes in release mode.
 //!
 //! ## Declaring an experiment as a sweep

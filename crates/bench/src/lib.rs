@@ -1,8 +1,8 @@
 //! # dynnet-bench
 //!
-//! Experiment harness regenerating every experiment table in EXPERIMENTS.md
+//! Experiment harness writing each experiment's tables to `results/eN.md`
 //! (the paper has no empirical tables; each experiment validates one of its
-//! quantitative claims — see DESIGN.md §5 for the experiment index).
+//! quantitative claims — [`exp::registry`] is the experiment index).
 //!
 //! The E1–E14 experiments ([`exp`]) are declared as `SweepSpec` grids on the
 //! work-stealing `dynnet-sweep` engine and stream their executions through

@@ -51,7 +51,8 @@ pub use verify::{
 ///
 /// Both DColor and DMis complete w.h.p. within `c · log₂ n + c'` rounds; this
 /// helper picks a window large enough for the constants observed empirically
-/// (see EXPERIMENTS.md) with a comfortable safety margin, while staying
+/// (experiments E2 and E6, `results/e2.md` / `results/e6.md`) with a
+/// comfortable safety margin, while staying
 /// `O(log n)`.
 pub fn recommended_window(n: usize) -> usize {
     let log = (n.max(2) as f64).log2();

@@ -7,6 +7,10 @@
 //! `WindowUpdate` dirty sets. The execution is recorded and re-verified with
 //! the batch `verify_t_dynamic_run` oracle (full re-check of every round);
 //! the two `VerificationSummary` values must be identical in every field.
+//! The same execution is also streamed to an on-disk delta log, loaded back
+//! with `codec::read_trace`, and replayed through `ScriptedAdversary` with
+//! the same seed: the replay must reproduce every round's graph and outputs
+//! and the same summary, so a recorded log alone re-executes a run.
 //!
 //! Also covered here: the window-expiry edge case (a verdict flips on a
 //! round whose delta is empty, purely because an edge aged out of the
@@ -25,9 +29,11 @@ use dynnet_core::{
     verify_t_dynamic_run, ColorOutput, ColoringProblem, DynamicProblem, MisOutput, MisProblem,
     TDynamicVerifier, VerifyError,
 };
+use dynnet_graph::codec::read_trace;
 use dynnet_graph::{generators, DynamicGraphTrace, Graph, GraphDelta, NodeId};
 use dynnet_runtime::rng::experiment_rng;
-use dynnet_runtime::{AlgorithmFactory, NodeAlgorithm, TraceRecorder};
+use dynnet_runtime::{AlgorithmFactory, DeltaLogRecorder, NodeAlgorithm, TraceRecorder};
+use std::fmt::Debug;
 
 const N: usize = 24;
 const WINDOWS: &[usize] = &[2, 6];
@@ -37,31 +43,64 @@ fn footprint(seed: u64) -> Graph {
 }
 
 /// Runs one scenario with the incremental verifier streaming alongside a
-/// recorder, then replays the recorded execution through the batch oracle
-/// and asserts byte-identical summaries.
+/// recorder and a delta log, then (1) replays the recorded execution through
+/// the batch oracle and asserts byte-identical summaries, and (2) re-runs
+/// the algorithm on the log read back from disk and asserts the identical
+/// execution.
 fn assert_incremental_matches_oracle<P, A, F, Adv>(
     name: &str,
     problem: P,
-    factory: F,
+    factory: impl Fn() -> F,
     adv: Adv,
     window: usize,
     rounds: usize,
 ) where
     P: DynamicProblem + Clone,
+    P::Output: Debug,
     A: NodeAlgorithm<Output = P::Output>,
     F: AlgorithmFactory<A>,
     Adv: OutputAdversary<P::Output>,
 {
+    let dir = std::env::temp_dir().join(format!("dynnet-verify-incr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}-T{window}.dlog", name.replace('/', "-")));
     let mut recorder = TraceRecorder::new();
     let mut incremental = TDynamicVerifier::new(problem.clone(), window);
+    let mut log = DeltaLogRecorder::create(&path);
     Scenario::new(N)
-        .algorithm(factory)
+        .algorithm(factory())
         .adversary(adv)
         .seed(11)
         .rounds(rounds)
-        .run(&mut [&mut recorder, &mut incremental]);
+        .run(&mut [&mut recorder, &mut incremental, &mut log]);
+    log.close().unwrap();
+
+    let mut replay_recorder = TraceRecorder::new();
+    let mut replay_verifier = TDynamicVerifier::new(problem.clone(), window);
+    Scenario::new(N)
+        .algorithm(factory())
+        .adversary(ScriptedAdversary::new(read_trace(&path).unwrap()))
+        .seed(11)
+        .rounds(rounds)
+        .run(&mut [&mut replay_recorder, &mut replay_verifier]);
+    std::fs::remove_file(&path).unwrap();
 
     let record = recorder.into_record();
+    let replay = replay_recorder.into_record();
+    assert_eq!(replay.num_rounds(), rounds, "{name}");
+    for r in 0..rounds {
+        assert_eq!(
+            replay.graph_at(r),
+            record.graph_at(r),
+            "replayed graph differs: {name} (T = {window}), round {r}"
+        );
+        assert_eq!(
+            replay.outputs_at(r),
+            record.outputs_at(r),
+            "replayed outputs differ: {name} (T = {window}), round {r}"
+        );
+    }
+
     let graphs: Vec<Graph> = (0..record.num_rounds())
         .map(|r| record.graph_at(r))
         .collect();
@@ -75,6 +114,11 @@ fn assert_incremental_matches_oracle<P, A, F, Adv>(
         "incremental verifier diverged from the full-recheck oracle: {name} (T = {window})"
     );
     assert_eq!(summary.rounds_checked, rounds - (window - 1), "{name}");
+    assert_eq!(
+        replay_verifier.into_summary(),
+        summary,
+        "replayed summary differs: {name} (T = {window})"
+    );
 }
 
 /// Runs one adversary against both problems (and their combined algorithms)
@@ -86,7 +130,7 @@ macro_rules! check_both_problems {
             assert_incremental_matches_oracle(
                 concat!($name, "/coloring"),
                 ColoringProblem,
-                dynamic_coloring($window),
+                || dynamic_coloring($window),
                 $mk_coloring_adv,
                 $window,
                 $rounds,
@@ -94,7 +138,7 @@ macro_rules! check_both_problems {
             assert_incremental_matches_oracle(
                 concat!($name, "/mis"),
                 MisProblem,
-                dynamic_mis(N, $window),
+                || dynamic_mis(N, $window),
                 $mk_mis_adv,
                 $window,
                 $rounds,

@@ -44,7 +44,8 @@
 //! ```
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
-//! `crates/bench` for the experiment harness that regenerates EXPERIMENTS.md.
+//! `crates/bench` for the experiment harness that writes one `results/eN.md`
+//! per experiment.
 
 #![forbid(unsafe_code)]
 

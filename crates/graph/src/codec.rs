@@ -24,17 +24,21 @@
 //! ## Log file format
 //!
 //! ```text
-//! "DNDL" magic · version byte (1) · varint n        (header)
-//! varint payload_len · payload · FNV-1a-64 LE       (per record, repeated)
+//! "DNDL" magic · version byte (2) · varint n · FNV-1a-64 LE   (header)
+//! varint payload_len · payload · FNV-1a-64 LE                 (per record, repeated)
 //! ```
 //!
-//! The checksum covers the payload bytes only, so a record is validated
-//! before it is decoded. By convention (see `DeltaLogRecorder` in
-//! `dynnet-runtime`) record 0 is the *initial state* expressed as a delta
-//! from the all-asleep empty graph on `n` nodes; [`replay_log`] applies
-//! every record in order to that graph and returns the final one.
+//! The header checksum covers the version byte and the varint `n ≤ 2³²`;
+//! a record's covers its payload, so a record is validated before it is
+//! decoded and a single flipped bit anywhere fails with a [`CodecError`].
+//!
+//! By convention (see `DeltaLogRecorder` in `dynnet-runtime`) record 0 is
+//! the *initial state* expressed as a delta from the all-asleep empty graph
+//! on `n` nodes, and every later record is one round's delta. The log is
+//! the one serialized form of a topology sequence: [`read_trace`] loads it
+//! for replay, [`replay_log`] just its final graph.
 
-use crate::dynamic::GraphDelta;
+use crate::dynamic::{DynamicGraphTrace, GraphDelta};
 use crate::graph::Graph;
 use crate::node::{Edge, NodeId};
 use std::fmt;
@@ -44,8 +48,13 @@ use std::path::Path;
 
 /// Magic bytes opening every delta log file.
 pub const LOG_MAGIC: [u8; 4] = *b"DNDL";
-/// Current delta log format version.
-pub const LOG_VERSION: u8 = 1;
+/// Current delta log format version. Version 1 logs (no header checksum)
+/// are rejected with [`CodecError::BadVersion`].
+pub const LOG_VERSION: u8 = 2;
+
+/// Largest universe a log may declare: every node id must fit a
+/// [`NodeId`]'s `u32`.
+const MAX_NODES: u64 = 1 << 32;
 
 /// Typed decode/IO failure of the delta codec. Corrupt or truncated input
 /// always surfaces as one of these variants — never as a panic.
@@ -187,8 +196,26 @@ fn check_node(v: NodeId, n: usize, what: &str) -> Result<(), CodecError> {
     Ok(())
 }
 
+/// Past [`MAX_NODES`], distinct ids would truncate to the same [`NodeId`].
+fn check_universe(n: u64) -> Result<usize, CodecError> {
+    if n > MAX_NODES {
+        return Err(CodecError::InvalidValue(format!(
+            "universe of {n} nodes exceeds the 2^32 node-id range"
+        )));
+    }
+    Ok(n as usize)
+}
+
+fn check_sorted<T: Ord>(items: &[T], what: &str) -> Result<(), CodecError> {
+    if !items.is_sorted_by(|a, b| a < b) {
+        return Err(CodecError::InvalidValue(format!(
+            "{what} list is not sorted/deduplicated"
+        )));
+    }
+    Ok(())
+}
+
 fn encode_edge_section(out: &mut Vec<u8>, edges: &[Edge], n: usize) -> Result<(), CodecError> {
-    let mut prev: Option<Edge> = None;
     for &e in edges {
         check_node(e.u, n, "edge")?;
         check_node(e.v, n, "edge")?;
@@ -199,40 +226,22 @@ fn encode_edge_section(out: &mut Vec<u8>, edges: &[Edge], n: usize) -> Result<()
                 e.v.index()
             )));
         }
-        if let Some(p) = prev {
-            if e <= p {
-                return Err(CodecError::InvalidValue(
-                    "edge list is not sorted/deduplicated".to_string(),
-                ));
-            }
-        }
-        prev = Some(e);
     }
-    // Group count: number of distinct lower endpoints.
-    let groups = edges
-        .iter()
-        .zip(edges.iter().skip(1))
-        .filter(|(a, b)| a.u != b.u)
-        .count()
-        + usize::from(!edges.is_empty());
-    write_varint(out, groups as u64);
+    check_sorted(edges, "edge")?;
+    // One group per distinct lower endpoint (sorted, so runs are contiguous).
+    let groups = || edges.chunk_by(|a, b| a.u == b.u);
+    write_varint(out, groups().count() as u64);
     let mut prev_u: i64 = 0;
-    let mut i = 0;
-    while i < edges.len() {
-        let u = edges[i].u;
-        let run_end = edges[i..]
-            .iter()
-            .position(|e| e.u != u)
-            .map(|p| i + p)
-            .unwrap_or(edges.len());
-        write_zigzag(out, u.index() as i64 - prev_u);
-        prev_u = u.index() as i64;
-        write_varint(out, (run_end - i) as u64);
-        write_zigzag(out, edges[i].v.index() as i64 - u.index() as i64);
-        for w in edges[i..run_end].windows(2) {
-            write_varint(out, (w[1].v.index() - w[0].v.index()) as u64);
+    for run in groups() {
+        let Some(first) = run.first() else { continue };
+        let u = first.u.index() as i64;
+        write_zigzag(out, u - prev_u);
+        prev_u = u;
+        write_varint(out, run.len() as u64);
+        write_zigzag(out, first.v.index() as i64 - u);
+        for (a, b) in run.iter().zip(run.iter().skip(1)) {
+            write_varint(out, (b.v.index() - a.v.index()) as u64);
         }
-        i = run_end;
     }
     Ok(())
 }
@@ -287,23 +296,16 @@ fn decode_edge_section(input: &mut &[u8], n: usize) -> Result<Vec<Edge>, CodecEr
 }
 
 fn encode_node_section(out: &mut Vec<u8>, nodes: &[NodeId], n: usize) -> Result<(), CodecError> {
-    for w in nodes.windows(2) {
-        if w[1] <= w[0] {
-            return Err(CodecError::InvalidValue(
-                "node list is not sorted/deduplicated".to_string(),
-            ));
-        }
-    }
+    check_sorted(nodes, "node")?;
     write_varint(out, nodes.len() as u64);
-    let mut prev: i64 = 0;
-    for (i, v) in nodes.iter().enumerate() {
-        check_node(*v, n, "listed")?;
-        if i == 0 {
-            write_zigzag(out, v.index() as i64);
-        } else {
-            write_varint(out, (v.index() as i64 - prev) as u64);
+    let mut prev: Option<usize> = None;
+    for &v in nodes {
+        check_node(v, n, "listed")?;
+        match prev {
+            None => write_zigzag(out, v.index() as i64),
+            Some(p) => write_varint(out, (v.index() - p) as u64),
         }
-        prev = v.index() as i64;
+        prev = Some(v.index());
     }
     Ok(())
 }
@@ -356,8 +358,9 @@ pub fn encode_delta(delta: &GraphDelta, n: usize) -> Result<Vec<u8>, CodecError>
 /// Decodes a payload produced by [`encode_delta`], consuming all of
 /// `bytes`. The result is always canonical; any truncation, overflow,
 /// out-of-range id, ordering violation, or leftover byte yields a typed
-/// [`CodecError`].
+/// [`CodecError`], as does a universe `n > 2³²`.
 pub fn decode_delta(bytes: &[u8], n: usize) -> Result<GraphDelta, CodecError> {
+    check_universe(n as u64)?;
     let mut input = bytes;
     let delta = GraphDelta {
         inserted: decode_edge_section(&mut input, n)?,
@@ -375,11 +378,14 @@ pub fn decode_delta(bytes: &[u8], n: usize) -> Result<GraphDelta, CodecError> {
 // Log framing
 // ---------------------------------------------------------------------------
 
-/// Appends the log header (`DNDL` magic, version, universe size) to `out`.
+/// Appends the log header (`DNDL` magic, version, universe size, and the
+/// FNV-1a-64 checksum of the version byte and the varint size) to `out`.
 pub fn write_log_header(out: &mut Vec<u8>, n: usize) {
+    let mut checked = vec![LOG_VERSION];
+    write_varint(&mut checked, n as u64);
     out.extend_from_slice(&LOG_MAGIC);
-    out.push(LOG_VERSION);
-    write_varint(out, n as u64);
+    out.extend_from_slice(&checked);
+    out.extend_from_slice(&fnv1a64(&checked).to_le_bytes());
 }
 
 /// Frames an encoded payload as one log record:
@@ -503,26 +509,35 @@ pub struct DeltaLogReader {
 }
 
 impl DeltaLogReader {
-    /// Opens the log at `path` and parses its header.
+    /// Opens the log at `path` and validates its header: magic, version,
+    /// header checksum, and a universe of at most 2³² nodes.
     pub fn open(path: &Path) -> Result<DeltaLogReader, CodecError> {
         let file = File::open(path)?;
         let remaining = file.metadata()?.len();
         let mut reader = BufReader::new(file);
-        let mut magic = [0u8; 5];
+        let mut magic = [0u8; 4];
+        let mut version = 0u8;
         reader
             .read_exact(&mut magic)
+            .and_then(|()| reader.read_exact(std::slice::from_mut(&mut version)))
             .map_err(|_| CodecError::BadMagic)?;
-        if magic[..4] != LOG_MAGIC {
+        if magic != LOG_MAGIC {
             return Err(CodecError::BadMagic);
         }
-        if magic[4] != LOG_VERSION {
-            return Err(CodecError::BadVersion(magic[4]));
+        if version != LOG_VERSION {
+            return Err(CodecError::BadVersion(version));
         }
         let mut remaining = remaining - 5;
-        let n = read_varint_io(&mut reader, &mut remaining)?;
+        let mut checked = vec![version];
+        let n = read_varint_io(&mut reader, &mut remaining, Some(&mut checked))?;
+        let stored = read_checksum(&mut reader, &mut remaining)?;
+        let computed = fnv1a64(&checked);
+        if stored != computed {
+            return Err(CodecError::ChecksumMismatch { stored, computed });
+        }
         Ok(DeltaLogReader {
             reader,
-            n: n as usize,
+            n: check_universe(n)?,
             remaining,
             failed: false,
         })
@@ -537,18 +552,16 @@ impl DeltaLogReader {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let len = read_varint_io(&mut self.reader, &mut self.remaining)?;
+        let len = read_varint_io(&mut self.reader, &mut self.remaining, None)?;
         // A corrupt length cannot allocate past the bytes actually left in
         // the file (payload + 8 checksum bytes must still fit).
-        if len + 8 > self.remaining {
+        if len.saturating_add(8) > self.remaining {
             return Err(CodecError::UnexpectedEof);
         }
         let mut payload = vec![0u8; len as usize];
         self.reader.read_exact(&mut payload)?;
-        let mut stored = [0u8; 8];
-        self.reader.read_exact(&mut stored)?;
-        self.remaining -= len + 8;
-        let stored = u64::from_le_bytes(stored);
+        self.remaining -= len;
+        let stored = read_checksum(&mut self.reader, &mut self.remaining)?;
         let computed = fnv1a64(&payload);
         if stored != computed {
             return Err(CodecError::ChecksumMismatch { stored, computed });
@@ -576,27 +589,47 @@ impl Iterator for DeltaLogReader {
 }
 
 /// Reads one varint from an IO reader, charging the consumed bytes against
-/// `remaining`.
-fn read_varint_io<R: Read>(reader: &mut R, remaining: &mut u64) -> Result<u64, CodecError> {
+/// `remaining` and appending them to `raw` when given (the header checksum
+/// covers the varint's bytes as written).
+fn read_varint_io<R: Read>(
+    reader: &mut R,
+    remaining: &mut u64,
+    mut raw: Option<&mut Vec<u8>>,
+) -> Result<u64, CodecError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
         if *remaining == 0 {
             return Err(CodecError::UnexpectedEof);
         }
-        let mut byte = [0u8; 1];
-        reader.read_exact(&mut byte)?;
+        let mut byte = 0u8;
+        reader.read_exact(std::slice::from_mut(&mut byte))?;
         *remaining -= 1;
-        let bits = u64::from(byte[0] & 0x7f);
+        if let Some(raw) = raw.as_deref_mut() {
+            raw.push(byte);
+        }
+        let bits = u64::from(byte & 0x7f);
         if shift >= 64 || (shift == 63 && bits > 1) {
             return Err(CodecError::VarintOverflow);
         }
         value |= bits << shift;
-        if byte[0] & 0x80 == 0 {
+        if byte & 0x80 == 0 {
             return Ok(value);
         }
         shift += 7;
     }
+}
+
+/// Reads one little-endian FNV-1a-64 checksum, charging its 8 bytes
+/// against `remaining`.
+fn read_checksum<R: Read>(reader: &mut R, remaining: &mut u64) -> Result<u64, CodecError> {
+    if *remaining < 8 {
+        return Err(CodecError::UnexpectedEof);
+    }
+    let mut stored = [0u8; 8];
+    reader.read_exact(&mut stored)?;
+    *remaining -= 8;
+    Ok(u64::from_le_bytes(stored))
 }
 
 /// Replays a delta log from the all-asleep empty graph on its header's `n`
@@ -609,6 +642,22 @@ pub fn replay_log(path: &Path) -> Result<Graph, CodecError> {
         delta?.apply(&mut g);
     }
     Ok(g)
+}
+
+/// Loads a delta log as a [`DynamicGraphTrace`]: record 0 becomes the
+/// round-0 graph and every later record one round's delta. A recorded run
+/// replays with `ScriptedAdversary::new(read_trace(path)?)`.
+pub fn read_trace(path: &Path) -> Result<DynamicGraphTrace, CodecError> {
+    let mut records = DeltaLogReader::open(path)?;
+    let mut initial = Graph::new_all_asleep(records.num_nodes());
+    if let Some(first) = records.next() {
+        first?.apply(&mut initial);
+    }
+    let mut trace = DynamicGraphTrace::new(initial);
+    for delta in records {
+        trace.push_delta(delta?);
+    }
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -738,6 +787,16 @@ mod tests {
             d.apply(&mut expected);
         }
         assert_eq!(final_graph, expected);
+
+        // Record 0 is the initial state; the rest are per-round deltas.
+        let trace = read_trace(&path).unwrap();
+        assert_eq!(trace.num_rounds(), deltas.len());
+        assert_eq!(trace.deltas(), &deltas[1..]);
+        let mut round = Graph::new_all_asleep(4);
+        for (r, d) in deltas.iter().enumerate() {
+            d.apply(&mut round);
+            assert_eq!(trace.graph_at(r), round, "round {r}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -750,6 +809,9 @@ mod tests {
         w.finish().unwrap();
         let g = replay_log(&path).unwrap();
         assert_eq!(g, Graph::new_all_asleep(6));
+        let trace = read_trace(&path).unwrap();
+        assert_eq!(trace.num_rounds(), 1);
+        assert_eq!(trace.graph_at(0), Graph::new_all_asleep(6));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -768,6 +830,38 @@ mod tests {
             DeltaLogReader::open(&path),
             Err(CodecError::BadVersion(9))
         ));
+        // A version-1 log (header without a checksum) is no longer read.
+        std::fs::write(&path, [b'D', b'N', b'D', b'L', 1, 4]).unwrap();
+        assert!(matches!(
+            DeltaLogReader::open(&path),
+            Err(CodecError::BadVersion(1))
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn universe_beyond_node_id_range_rejected() {
+        // With n = 2^33, node 2^32 + 1 would truncate to node 1.
+        let n = 1usize << 33;
+        let dir = std::env::temp_dir().join(format!("dynnet-codec-u-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge.dlog");
+        let mut header = Vec::new();
+        write_log_header(&mut header, n);
+        std::fs::write(&path, &header).unwrap();
+        assert!(matches!(
+            DeltaLogReader::open(&path),
+            Err(CodecError::InvalidValue(_))
+        ));
+        assert!(matches!(
+            decode_delta(&[0, 0, 0, 0], n),
+            Err(CodecError::InvalidValue(_))
+        ));
+        // The largest universe whose ids all fit a `NodeId` still opens.
+        header.clear();
+        write_log_header(&mut header, 1 << 32);
+        std::fs::write(&path, &header).unwrap();
+        assert_eq!(DeltaLogReader::open(&path).unwrap().num_nodes(), 1 << 32);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -24,12 +24,13 @@
 //!   dynamic graph sequences for replaying identical adversarial schedules
 //!   across algorithms.
 //! * [`codec`] — the compact varint wire format for deltas and the
-//!   append-only delta log files behind the durable trace store.
+//!   append-only delta log files behind the durable trace store: the one
+//!   serialized form of a topology sequence ([`codec::read_trace`] loads a
+//!   log back as a [`DynamicGraphTrace`]).
 //! * [`generators`] — deterministic and random graph families.
 //! * [`algo`] — centralized algorithms and validity predicates used by the
 //!   solution checkers and baselines.
 //! * [`neighborhood`] — `N^α(v)` balls and local-view comparisons.
-//! * [`export`] — DOT / edge-list / JSON output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +39,6 @@ pub mod algo;
 pub mod codec;
 pub mod csr;
 pub mod dynamic;
-pub mod export;
 pub mod generators;
 pub mod graph;
 pub mod neighborhood;

@@ -118,22 +118,21 @@ fn payload_bit_flips_never_panic_and_stay_canonical() {
 
 #[test]
 fn record_bit_flips_are_caught_by_the_checksum() {
-    // At the record level (payload + FNV-1a frame) every single-bit flip
-    // must be detected: either the checksum mismatches or, if the length
-    // prefix was hit, the file structure breaks. Nothing is silently
-    // accepted as the original record.
+    // Every single-bit flip anywhere in the log, header included, must be
+    // detected: the magic or version is rejected, a header or record
+    // checksum mismatches, or, if a length prefix was hit, the file
+    // structure breaks. Nothing is silently accepted as the original log.
     let mut rng = ChaCha8Rng::seed_from_u64(0xcafe);
     let n = 16;
     let deltas: Vec<GraphDelta> = (0..3).map(|_| arbitrary_delta(n, &mut rng)).collect();
     let mut file = Vec::new();
     write_log_header(&mut file, n);
-    let header_len = file.len();
     for d in &deltas {
         write_record(&mut file, &encode_delta(d, n).unwrap());
     }
     let path = tmp("flip.dlog");
-    for i in header_len..file.len() {
-        for bit in [0, 3, 7] {
+    for i in 0..file.len() {
+        for bit in [0, 3, 5, 7] {
             let mut corrupt = file.clone();
             corrupt[i] ^= 1 << bit;
             std::fs::write(&path, &corrupt).unwrap();

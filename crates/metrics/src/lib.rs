@@ -3,7 +3,7 @@
 //! Measurement utilities for the `dynnet` experiments: summary statistics,
 //! per-round time series with convergence/decay detection, least-squares
 //! model fitting (for the `O(log n)` shape checks), and Markdown/CSV table
-//! writers used to regenerate the tables in EXPERIMENTS.md.
+//! writers the experiment harness renders its `results/eN.md` tables with.
 //!
 //! In the delta pipeline this crate sits *downstream* of the streaming
 //! observers: per-round series ([`Series`]) are filled by

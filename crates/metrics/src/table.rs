@@ -1,5 +1,5 @@
 //! Table rendering: Markdown and CSV writers used by the experiment harness
-//! to print the result tables recorded in EXPERIMENTS.md.
+//! to write the result tables of `results/eN.md`.
 
 /// A simple rectangular table of strings with a header row.
 #[derive(Clone, Debug, Default, PartialEq)]

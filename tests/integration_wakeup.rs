@@ -5,9 +5,10 @@
 
 use dynnet::core::coloring::conflict_edges;
 use dynnet::core::mis::{domination_violations, independence_violations};
+use dynnet::graph::codec::read_trace;
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
-use dynnet::runtime::ScriptedWakeup;
+use dynnet::runtime::{DeltaLogRecorder, ScriptedWakeup, TraceRecorder};
 
 #[test]
 fn staggered_wakeup_still_yields_a_proper_coloring() {
@@ -74,19 +75,55 @@ fn random_wakeup_with_churn_keeps_window_solutions_consistent() {
     // Once every node has been awake for a full window, full solutions are
     // required and present.
     let mut verifier = TDynamicVerifier::new(ColoringProblem, window).check_from(3 * window);
+    let mut recorder = TraceRecorder::new();
+    let dir = std::env::temp_dir().join(format!("dynnet-wakeup-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("random-wakeup.dlog");
+    let mut log = DeltaLogRecorder::create(&path);
     Scenario::new(n)
         .algorithm(dynamic_coloring(window))
         .adversary(FlipChurnAdversary::new(&footprint, 0.03, 3))
         .wakeup(RandomWakeup::new(n, (2 * window) as u64, 77))
         .seed(2)
         .rounds(rounds)
-        .run(&mut [&mut partial, &mut verifier]);
+        .run(&mut [&mut partial, &mut verifier, &mut recorder, &mut log]);
+    log.close().unwrap();
     let summary = verifier.into_summary();
     assert!(
         summary.all_valid(),
         "invalid rounds: {:?}",
         summary.invalid_rounds
     );
+
+    // Replay from the on-disk log. The recorded graphs mark sleeping nodes
+    // inactive, so with the same wake-up schedule every node wakes in the
+    // same round, and the same seed reproduces the execution exactly.
+    let mut replay_verifier = TDynamicVerifier::new(ColoringProblem, window).check_from(3 * window);
+    let mut replay_recorder = TraceRecorder::new();
+    Scenario::new(n)
+        .algorithm(dynamic_coloring(window))
+        .adversary(ScriptedAdversary::new(read_trace(&path).unwrap()))
+        .wakeup(RandomWakeup::new(n, (2 * window) as u64, 77))
+        .seed(2)
+        .rounds(rounds)
+        .run(&mut [&mut replay_verifier, &mut replay_recorder]);
+    std::fs::remove_file(&path).unwrap();
+    let (record, replay) = (recorder.into_record(), replay_recorder.into_record());
+    assert_eq!(replay.num_rounds(), rounds);
+    for r in 0..rounds {
+        assert_eq!(replay.graph_at(r), record.graph_at(r), "graph of round {r}");
+        assert_eq!(
+            replay.outputs_at(r),
+            record.outputs_at(r),
+            "outputs of round {r}"
+        );
+        assert_eq!(
+            replay.newly_awake_at(r),
+            record.newly_awake_at(r),
+            "wake-ups of round {r}"
+        );
+    }
+    assert_eq!(replay_verifier.into_summary(), summary);
 }
 
 #[test]
