@@ -299,13 +299,14 @@ where
         };
         let summary = self.sim.step_delta(graph, &delta);
         self.executed += 1;
-        // One adjacency-Graph conversion per round, shared lazily by every
-        // observer through `RoundView::current_graph`.
+        // Observers consume `delta` (round 0's is from the all-asleep
+        // graph); an observer that asks `RoundView::current_graph` pays one
+        // conversion per round, shared through this cell.
         let graph_cell = std::cell::OnceCell::new();
         let view = RoundView {
             round: summary.round,
             graph: &summary.graph,
-            delta: summary.delta.as_ref(),
+            delta: Some(&summary.delta),
             outputs: self.sim.outputs(),
             changed_outputs: Some(&summary.changed_outputs),
             newly_awake: &summary.newly_awake,

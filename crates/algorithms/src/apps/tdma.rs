@@ -13,7 +13,7 @@
 //! constant probability per frame.
 
 use dynnet_core::ColorOutput;
-use dynnet_graph::{Edge, Graph};
+use dynnet_graph::{CsrGraph, Edge};
 use rand::Rng;
 
 /// The outcome of one TDMA frame.
@@ -46,7 +46,7 @@ impl FrameReport {
 
 /// Simulates one TDMA frame: every colored node transmits in the slot equal
 /// to its color; adjacent nodes in the same slot collide.
-pub fn run_frame(g: &Graph, colors: &[ColorOutput]) -> FrameReport {
+pub fn run_frame(g: &CsrGraph, colors: &[ColorOutput]) -> FrameReport {
     let mut report = FrameReport {
         frame_length: colors.iter().filter_map(|c| c.color()).max().unwrap_or(0),
         ..Default::default()
@@ -77,7 +77,7 @@ pub fn run_frame(g: &Graph, colors: &[ColorOutput]) -> FrameReport {
 /// neighbor picked the same sub-slot. Returns the number of nodes that
 /// recovered their transmission this way.
 pub fn resolve_contention<R: Rng + ?Sized>(
-    g: &Graph,
+    g: &CsrGraph,
     colors: &[ColorOutput],
     report: &FrameReport,
     subslots: usize,
@@ -102,6 +102,7 @@ pub fn resolve_contention<R: Rng + ?Sized>(
         let my_color = colors[i].color();
         let conflict = g
             .neighbors(dynnet_graph::NodeId::new(i))
+            .iter()
             .any(|w| choices[w.index()] == Some(my_slot) && colors[w.index()].color() == my_color);
         if !conflict {
             recovered += 1;
@@ -130,7 +131,7 @@ mod tests {
 
     #[test]
     fn proper_coloring_has_no_collisions() {
-        let g = generators::cycle(6);
+        let g = CsrGraph::from(&generators::cycle(6));
         let report = run_frame(&g, &colors(&[1, 2, 1, 2, 1, 2]));
         assert_eq!(report.collided, 0);
         assert_eq!(report.successful, 6);
@@ -141,7 +142,7 @@ mod tests {
 
     #[test]
     fn conflicting_colors_collide() {
-        let g = generators::path(3);
+        let g = CsrGraph::from(&generators::path(3));
         let report = run_frame(&g, &colors(&[1, 1, 2]));
         assert_eq!(report.collided, 2);
         assert_eq!(report.successful, 1);
@@ -151,7 +152,7 @@ mod tests {
 
     #[test]
     fn undecided_nodes_stay_silent() {
-        let g = generators::path(3);
+        let g = CsrGraph::from(&generators::path(3));
         let report = run_frame(&g, &colors(&[1, 0, 1]));
         assert_eq!(report.silent, 1);
         assert_eq!(report.successful, 2);
@@ -160,15 +161,16 @@ mod tests {
 
     #[test]
     fn inactive_nodes_are_not_counted() {
-        let mut g = generators::path(3);
-        g.deactivate(NodeId::new(2));
+        let mut path = generators::path(3);
+        path.deactivate(NodeId::new(2));
+        let g = CsrGraph::from(&path);
         let report = run_frame(&g, &colors(&[1, 2, 0]));
         assert_eq!(report.successful + report.collided + report.silent, 2);
     }
 
     #[test]
     fn contention_resolution_recovers_most_collisions() {
-        let g = generators::complete(2);
+        let g = CsrGraph::from(&generators::complete(2));
         let cs = colors(&[1, 1]);
         let report = run_frame(&g, &cs);
         assert_eq!(report.collided, 2);

@@ -153,6 +153,19 @@ fn main() {
     } else {
         selected_args.iter().map(|s| s.as_str()).collect()
     };
+    // A mistyped id must fail loudly, or a CI step that names it passes
+    // without running anything.
+    let unknown: Vec<&str> = selected
+        .iter()
+        .copied()
+        .filter(|id| !experiments.iter().any(|e| e.id == *id))
+        .collect();
+    if !unknown.is_empty() {
+        let valid: Vec<&str> = experiments.iter().map(|e| e.id).collect();
+        eprintln!("unknown experiment id(s): {}", unknown.join(", "));
+        eprintln!("valid ids: {} (or `all` / `list`)", valid.join(" "));
+        std::process::exit(2);
+    }
 
     // Default to the shared thread budget (`DYNNET_RAYON_THREADS` if set,
     // otherwise the core count), so one knob caps the sweep shards and the

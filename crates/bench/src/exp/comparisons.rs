@@ -43,7 +43,8 @@ struct IntersectionViolations {
 
 impl RoundObserver<MisOutput> for IntersectionViolations {
     fn on_round(&mut self, view: &RoundView<'_, MisOutput>) {
-        self.window.push(view.current_graph());
+        self.window
+            .push_delta(view.delta.unwrap_or(&GraphDelta::new()));
         let out: Vec<MisOutput> = view
             .outputs
             .iter()
@@ -272,7 +273,7 @@ impl RoundObserver<ColorOutput> for TdmaProbe {
         if view.round < self.from {
             return;
         }
-        let g = view.current_graph();
+        let g: &CsrGraph = view.graph;
         self.max_deg = self.max_deg.max(g.max_degree());
         let colors: Vec<ColorOutput> = view
             .outputs

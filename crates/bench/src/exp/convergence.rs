@@ -340,11 +340,23 @@ struct DecayProbe {
 
 impl RoundObserver<MisOutput> for DecayProbe {
     fn on_round(&mut self, view: &RoundView<'_, MisOutput>) {
-        let g = view.current_graph();
+        // The running intersection of every round's graph, kept from the
+        // handed deltas: round 0's (from the all-asleep graph) seeds it, and
+        // later rounds can only take edges and nodes away from it.
+        let no_change = GraphDelta::new();
+        let delta = view.delta.unwrap_or(&no_change);
         let intersection = match &mut self.intersection {
-            None => self.intersection.insert(g.clone()),
+            None => {
+                let empty = Graph::new_all_asleep(view.graph.num_nodes());
+                self.intersection.insert(delta.materialize(&empty))
+            }
             Some(acc) => {
-                *acc = acc.intersection(g);
+                for e in &delta.removed {
+                    acc.remove_edge(e.u, e.v);
+                }
+                for &v in &delta.deactivated {
+                    acc.deactivate(v);
+                }
                 acc
             }
         };

@@ -39,7 +39,7 @@ impl RoundObserver<ColorOutput> for EdgeConflictStreak {
         if view.round < self.from {
             return;
         }
-        let g = view.current_graph();
+        let g: &CsrGraph = view.graph;
         let out: Vec<ColorOutput> = view
             .outputs
             .iter()

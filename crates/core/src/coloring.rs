@@ -14,9 +14,9 @@
 //! * a vector is **partial covering** iff every decided node's color is in
 //!   `[d(v)+1]` (independent of the other nodes' colors).
 
-use crate::output::{ColorOutput, HasBottom};
+use crate::output::ColorOutput;
 use crate::problem::DynamicProblem;
-use dynnet_graph::{Graph, NodeId};
+use dynnet_graph::Graph;
 
 /// The (degree+1)-coloring problem `(CP, CC)`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -29,22 +29,17 @@ impl DynamicProblem for ColoringProblem {
         "(degree+1)-coloring"
     }
 
-    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[ColorOutput]) -> bool {
-        let Some(c) = out[v.index()].color() else {
-            return true;
-        };
-        g.neighbors(v).all(|w| out[w.index()].color() != Some(c))
+    fn packing_conflict(&self, own: &ColorOutput, other: &ColorOutput) -> bool {
+        own.color().is_some() && own.color() == other.color()
     }
 
-    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[ColorOutput]) -> bool {
-        match out[v.index()].color() {
-            None => true,
-            Some(c) => c >= 1 && c <= g.degree(v) + 1,
-        }
-    }
-
-    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[ColorOutput]) -> bool {
-        out[v.index()].is_decided() && self.partial_covering_ok_at(g, v, out)
+    fn covering_ok<'a>(
+        &self,
+        own: &ColorOutput,
+        _neighbors: impl Iterator<Item = &'a ColorOutput>,
+        degree: usize,
+    ) -> bool {
+        own.color().is_some_and(|c| c >= 1 && c <= degree + 1)
     }
 }
 
@@ -77,7 +72,8 @@ pub fn max_color_used(out: &[ColorOutput]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_graph::Edge;
+    use crate::output::HasBottom;
+    use dynnet_graph::{Edge, NodeId};
 
     fn path3() -> Graph {
         Graph::from_edges(3, [Edge::of(0, 1), Edge::of(1, 2)])

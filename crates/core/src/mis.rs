@@ -13,7 +13,7 @@
 
 use crate::output::MisOutput;
 use crate::problem::DynamicProblem;
-use dynnet_graph::{Graph, NodeId};
+use dynnet_graph::Graph;
 
 /// The MIS problem `(MP, MC)`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -26,29 +26,18 @@ impl DynamicProblem for MisProblem {
         "maximal independent set"
     }
 
-    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[MisOutput]) -> bool {
-        if out[v.index()] != MisOutput::InMis {
-            return true;
-        }
-        g.neighbors(v).all(|w| out[w.index()] != MisOutput::InMis)
+    fn packing_conflict(&self, own: &MisOutput, other: &MisOutput) -> bool {
+        own.in_mis() && other.in_mis()
     }
 
-    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[MisOutput]) -> bool {
-        if out[v.index()] != MisOutput::Dominated {
-            return true;
-        }
-        g.neighbors(v).any(|w| out[w.index()] == MisOutput::InMis)
-    }
-
-    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[MisOutput]) -> bool {
-        // In a full solution every node must be decided and every node must
-        // be in the MIS or dominated *by an MIS neighbor in g* — i.e. the MIS
-        // is a dominating set of g.
-        match out[v.index()] {
-            MisOutput::Undecided => false,
-            MisOutput::InMis => true,
-            MisOutput::Dominated => g.neighbors(v).any(|w| out[w.index()] == MisOutput::InMis),
-        }
+    fn covering_ok<'a>(
+        &self,
+        own: &MisOutput,
+        mut neighbors: impl Iterator<Item = &'a MisOutput>,
+        _degree: usize,
+    ) -> bool {
+        // The MIS must dominate: a dominated node needs an MIS neighbour.
+        *own != MisOutput::Dominated || neighbors.any(MisOutput::in_mis)
     }
 }
 
@@ -78,7 +67,7 @@ pub fn domination_violations(g: &Graph, out: &[MisOutput]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_graph::Edge;
+    use dynnet_graph::{Edge, NodeId};
 
     fn path4() -> Graph {
         Graph::from_edges(4, [Edge::of(0, 1), Edge::of(1, 2), Edge::of(2, 3)])

@@ -22,6 +22,13 @@ use dynnet_graph::{Graph, NodeId};
 
 /// A graph problem decomposed into a packing part and a covering part, with
 /// locally checkable validity.
+///
+/// An implementation states the two radius-1 conditions once, on outputs
+/// alone: [`DynamicProblem::packing_conflict`] across one edge and
+/// [`DynamicProblem::covering_ok`] over a node's neighbourhood. The
+/// `&Graph` checks are default methods built on them, and the incremental
+/// verifier evaluates the same two predicates over a sliding window's
+/// neighbourhoods without materializing any graph.
 pub trait DynamicProblem: Send + Sync {
     /// The per-node output type (must have a `⊥` value).
     type Output: HasBottom + Send + Sync;
@@ -34,16 +41,42 @@ pub trait DynamicProblem: Send + Sync {
         1
     }
 
+    /// Returns `true` if a node with output `own` and a neighbour with
+    /// output `other` violate the packing condition across their edge (e.g.
+    /// two adjacent MIS nodes, or two adjacent nodes of one color). An
+    /// undecided side never conflicts.
+    fn packing_conflict(&self, own: &Self::Output, other: &Self::Output) -> bool;
+
+    /// Returns `true` if the covering condition holds at a node with the
+    /// *decided* output `own`, given its neighbours' outputs and its degree
+    /// (e.g. a dominated node has an MIS neighbour; a color is at most
+    /// degree + 1).
+    fn covering_ok<'a>(
+        &self,
+        own: &Self::Output,
+        neighbors: impl Iterator<Item = &'a Self::Output>,
+        degree: usize,
+    ) -> bool
+    where
+        Self::Output: 'a;
+
     /// Returns `true` if the *packing* LCL condition holds at `v` assuming
-    /// the decided part of `out` around `v`. Per Definition 3.2 this is the
-    /// check that must be satisfiable by *some* full extension; for the
-    /// problems considered here the characterizations from the paper are
-    /// used (e.g. "no two adjacent decided nodes share a color").
-    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool;
+    /// the decided part of `out` around `v` (Definition 3.2; for the
+    /// problems considered here the paper's characterizations are used, e.g.
+    /// "no two adjacent decided nodes share a color").
+    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool {
+        let own = &out[v.index()];
+        g.neighbors(v)
+            .all(|w| !self.packing_conflict(own, &out[w.index()]))
+    }
 
     /// Returns `true` if the *covering* LCL condition at `v` holds for *all*
-    /// extensions of the decided part of `out` (Definition 3.2).
-    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool;
+    /// extensions of the decided part of `out` (Definition 3.2): vacuous at
+    /// an undecided node.
+    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool {
+        let own = &out[v.index()];
+        !own.is_decided() || covering_ok_in(self, g, v, out)
+    }
 
     /// Returns `true` if the packing condition holds at `v` for a *full*
     /// solution (additionally requiring `v` to be decided).
@@ -53,7 +86,9 @@ pub trait DynamicProblem: Send + Sync {
 
     /// Returns `true` if the covering condition holds at `v` for a *full*
     /// solution (additionally requiring `v` to be decided).
-    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool;
+    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool {
+        out[v.index()].is_decided() && covering_ok_in(self, g, v, out)
+    }
 
     /// Nodes (among `restrict_to`) violating the partial-solution conditions.
     fn partial_violations(
@@ -79,6 +114,17 @@ pub trait DynamicProblem: Send + Sync {
     fn is_partial_solution(&self, g: &Graph, out: &[Self::Output], restrict_to: &[NodeId]) -> bool {
         self.partial_violations(g, out, restrict_to).is_empty()
     }
+}
+
+/// [`DynamicProblem::covering_ok`] at `v` over its neighbourhood in `g`.
+fn covering_ok_in<P: DynamicProblem + ?Sized>(
+    problem: &P,
+    g: &Graph,
+    v: NodeId,
+    out: &[P::Output],
+) -> bool {
+    let neighbors = g.neighbors(v).map(|w| &out[w.index()]);
+    problem.covering_ok(&out[v.index()], neighbors, g.degree(v))
 }
 
 /// Converts the simulator's "asleep = `None`" outputs into problem outputs

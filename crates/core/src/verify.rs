@@ -7,8 +7,8 @@
 
 use crate::output::HasBottom;
 use crate::problem::DynamicProblem;
-use crate::tdynamic::{check_t_dynamic, node_verdict, NodeVerdict};
-use dynnet_graph::{Graph, GraphDelta, GraphWindow, NodeId, WindowUpdate};
+use crate::tdynamic::{check_t_dynamic, NodeVerdict};
+use dynnet_graph::{Edge, Graph, GraphDelta, GraphWindow, NodeId, WindowUpdate};
 
 /// Per-round verification result plus aggregate counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -204,11 +204,11 @@ impl VerificationSummary {
 /// Error returned by the delta observation path of [`TDynamicVerifier`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VerifyError {
-    /// [`TDynamicVerifier::observe_delta`] was called before any initial
-    /// whole graph was observed: a delta is a change *relative to the
-    /// previous round*, so round 0 must be supplied via
-    /// [`TDynamicVerifier::observe`] (the `RoundObserver` hook does this
-    /// automatically by falling back to the materialized graph).
+    /// [`TDynamicVerifier::observe_delta`] was called before the verifier
+    /// knew its universe size: a delta does not say how many nodes there
+    /// are, so the first round must come through
+    /// [`TDynamicVerifier::observe`] or the [`dynnet_runtime::RoundObserver`]
+    /// hook, which size the window from the round's graph.
     DeltaBeforeInitialGraph,
 }
 
@@ -216,8 +216,8 @@ impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::DeltaBeforeInitialGraph => f.write_str(
-                "observe the initial round as a whole graph (TDynamicVerifier::observe) \
-                 before feeding deltas",
+                "observe the first round through TDynamicVerifier::observe or the \
+                 RoundObserver hook before feeding bare deltas",
             ),
         }
     }
@@ -227,11 +227,16 @@ impl std::error::Error for VerifyError {}
 
 /// Persistent per-node verdict state of the incremental T-dynamic verifier.
 ///
-/// The ledger holds materialized copies of the window graphs (`G^∩T_r`
-/// adjacency in `intersection`, `G^∪T_r` adjacency in `union`), the `V^∩T_r`
-/// membership flags, the ⊥-densified output vector, and one [`NodeVerdict`]
-/// bit-triple per node together with the three violation counters the round
-/// summary is built from.
+/// The ledger holds no graph: it reads `G^∩T_r`, `G^∪T_r` and `V^∩T_r`
+/// from the [`GraphWindow`] it is handed each round. It keeps the
+/// ⊥-densified output vector and one [`NodeVerdict`] bit-triple per node,
+/// together with the three violation counters the round summary is built
+/// from.
+///
+/// A node's verdict reads the window directly: its union neighbours are
+/// the window's incidence list ([`GraphWindow::union_neighbors`], no
+/// lookup), and intersection membership is looked up only for a neighbour
+/// whose output would violate packing across the edge.
 ///
 /// Per round it consumes the window's [`WindowUpdate`] and the round's
 /// output churn, and re-evaluates *only the dirty nodes* — the union of
@@ -249,9 +254,6 @@ impl std::error::Error for VerifyError {}
 /// [`TDynamicVerifier::full_recheck`] oracle mode) remains the reference
 /// the equivalence tests compare against.
 pub struct ViolationLedger<O> {
-    intersection: Graph,
-    union: Graph,
-    in_vcap: Vec<bool>,
     dense: Vec<O>,
     verdicts: Vec<NodeVerdict>,
     undecided_count: usize,
@@ -265,18 +267,15 @@ pub struct ViolationLedger<O> {
 }
 
 impl<O: HasBottom> ViolationLedger<O> {
-    /// Builds the ledger by materializing the window graphs once and
-    /// evaluating every node of `V^∩T` — the one full check the incremental
-    /// verifier performs (on its first checked round).
+    /// Builds the ledger by evaluating every node of `V^∩T` against the
+    /// window — the one full check the incremental verifier performs (on
+    /// its first checked round).
     pub fn init<P>(problem: &P, window: &GraphWindow, outputs: &[Option<P::Output>]) -> Self
     where
         P: DynamicProblem<Output = O>,
     {
         let n = outputs.len();
         let mut ledger = ViolationLedger {
-            intersection: window.intersection_graph(),
-            union: window.union_graph(),
-            in_vcap: vec![false; n],
             dense: crate::problem::densify_outputs(outputs),
             verdicts: vec![NodeVerdict::CLEAR; n],
             undecided_count: 0,
@@ -287,66 +286,47 @@ impl<O: HasBottom> ViolationLedger<O> {
             dirty: Vec::new(),
         };
         for v in window.intersection_nodes() {
-            ledger.in_vcap[v.index()] = true;
-            let verdict = node_verdict(
-                problem,
-                &ledger.intersection,
-                &ledger.union,
-                v,
-                &ledger.dense,
-            );
+            let verdict = window_verdict(problem, window, v, &ledger.dense);
             ledger.set_verdict(v, verdict);
         }
         ledger
     }
 
-    /// Applies one round: patches the materialized window graphs and `V^∩T`
-    /// flags from `update`, folds in the round's output churn (`changed`
-    /// when the producer tracked it, otherwise a full diff of `outputs`
-    /// against the stored dense vector), and re-evaluates the dirty nodes.
+    /// Applies one round: marks the nodes touched by `update`, folds in the
+    /// round's output churn (`changed` when the producer tracked it,
+    /// otherwise a full diff of `outputs` against the stored dense vector),
+    /// and re-evaluates the dirty nodes against `window`, which must
+    /// already hold the round that produced `update`.
     pub fn apply_round<P>(
         &mut self,
         problem: &P,
+        window: &GraphWindow,
         update: &WindowUpdate,
         outputs: &[Option<P::Output>],
         changed: Option<&[NodeId]>,
     ) where
         P: DynamicProblem<Output = O>,
     {
-        debug_assert!(!update.initial, "initial rounds are handled by init");
         self.cur_stamp += 1;
         self.dirty.clear();
 
-        // 1. Structural patch: every membership event dirties its endpoints.
-        for e in &update.inserted {
-            self.union.insert_edge(e.u, e.v);
+        // 1. Structural events: every membership event dirties its endpoints.
+        for e in update
+            .inserted
+            .iter()
+            .chain(&update.removed)
+            .chain(&update.edges_left_union)
+            .chain(&update.edges_joined_intersection)
+        {
             self.mark(e.u);
             self.mark(e.v);
         }
-        for e in &update.removed {
-            self.intersection.remove_edge(e.u, e.v);
-            self.mark(e.u);
-            self.mark(e.v);
-        }
-        for e in &update.edges_left_union {
-            self.union.remove_edge(e.u, e.v);
-            self.mark(e.u);
-            self.mark(e.v);
-        }
-        for e in &update.edges_joined_intersection {
-            self.intersection.insert_edge(e.u, e.v);
-            self.mark(e.u);
-            self.mark(e.v);
-        }
-        for &v in &update.deactivated {
-            self.in_vcap[v.index()] = false;
-            self.mark(v);
-        }
-        for &v in &update.woken {
-            self.mark(v);
-        }
-        for &v in &update.nodes_joined_intersection {
-            self.in_vcap[v.index()] = true;
+        for &v in update
+            .deactivated
+            .iter()
+            .chain(&update.woken)
+            .chain(&update.nodes_joined_intersection)
+        {
             self.mark(v);
         }
 
@@ -355,21 +335,23 @@ impl<O: HasBottom> ViolationLedger<O> {
         match changed {
             Some(list) => {
                 for &v in list {
-                    self.refresh_output(outputs, v);
+                    self.refresh_output(window, outputs, v);
                 }
             }
             None => {
                 for i in 0..self.dense.len() {
-                    self.refresh_output(outputs, NodeId::new(i));
+                    self.refresh_output(window, outputs, NodeId::new(i));
                 }
             }
         }
 
         // 3. Re-evaluate exactly the dirty nodes.
         for idx in 0..self.dirty.len() {
-            let v = self.dirty[idx];
-            let verdict = if self.in_vcap[v.index()] {
-                node_verdict(problem, &self.intersection, &self.union, v, &self.dense)
+            let Some(&v) = self.dirty.get(idx) else {
+                break;
+            };
+            let verdict = if window.node_in_intersection(v) {
+                window_verdict(problem, window, v, &self.dense)
             } else {
                 NodeVerdict::CLEAR
             };
@@ -379,39 +361,22 @@ impl<O: HasBottom> ViolationLedger<O> {
 
     /// Folds node `v`'s current output into the dense vector, dirtying `v`
     /// and its union neighbors if the densified value actually changed.
-    fn refresh_output(&mut self, outputs: &[Option<O>], v: NodeId) {
+    fn refresh_output(&mut self, window: &GraphWindow, outputs: &[Option<O>], v: NodeId) {
         let new = outputs[v.index()].clone().unwrap_or_else(O::bottom);
         if new == self.dense[v.index()] {
             return;
         }
         self.dense[v.index()] = new;
-        let ViolationLedger {
-            union,
-            stamp,
-            cur_stamp,
-            dirty,
-            ..
-        } = self;
-        Self::mark_into(stamp, *cur_stamp, dirty, v);
-        for u in union.neighbors(v) {
-            Self::mark_into(stamp, *cur_stamp, dirty, u);
+        self.mark(v);
+        for &u in window.union_neighbors(v) {
+            self.mark(u);
         }
     }
 
     fn mark(&mut self, v: NodeId) {
-        let ViolationLedger {
-            stamp,
-            cur_stamp,
-            dirty,
-            ..
-        } = self;
-        Self::mark_into(stamp, *cur_stamp, dirty, v);
-    }
-
-    fn mark_into(stamp: &mut [u64], cur: u64, dirty: &mut Vec<NodeId>, v: NodeId) {
-        if stamp[v.index()] != cur {
-            stamp[v.index()] = cur;
-            dirty.push(v);
+        if self.stamp[v.index()] != self.cur_stamp {
+            self.stamp[v.index()] = self.cur_stamp;
+            self.dirty.push(v);
         }
     }
 
@@ -447,6 +412,36 @@ impl<O: HasBottom> ViolationLedger<O> {
     }
 }
 
+/// Evaluates one node of `V^∩T_r` against the window — the same verdict
+/// [`crate::tdynamic::node_verdict`] computes on the materialized window
+/// graphs. Packing needs only the union neighbours whose output conflicts
+/// with `v`'s, and only those are looked up in `G^∩T`; covering reads the
+/// whole union neighbourhood, which is the window's incidence list.
+fn window_verdict<P: DynamicProblem>(
+    problem: &P,
+    window: &GraphWindow,
+    v: NodeId,
+    dense: &[P::Output],
+) -> NodeVerdict {
+    let own = &dense[v.index()];
+    if own.is_bottom() {
+        return NodeVerdict {
+            undecided: true,
+            packing_ok: true,
+            covering_ok: true,
+        };
+    }
+    let union = window.union_neighbors(v);
+    NodeVerdict {
+        undecided: false,
+        packing_ok: union.iter().all(|&u| {
+            !problem.packing_conflict(own, &dense[u.index()])
+                || !window.edge_in_intersection(Edge::new(v, u))
+        }),
+        covering_ok: problem.covering_ok(own, union.iter().map(|u| &dense[u.index()]), union.len()),
+    }
+}
+
 /// Streaming T-dynamic verifier (Theorem 1.1, part 1).
 ///
 /// Observes an execution round by round — either through the
@@ -464,9 +459,10 @@ impl<O: HasBottom> ViolationLedger<O> {
 /// materialize-everything oracle path, which the equivalence test suite
 /// pins the incremental path against.
 ///
-/// Memory: an `O(window)` ring of deltas (inside [`GraphWindow`]) plus the
-/// `O(n + |G^∪T|)` ledger. The execution itself is never materialized, so
-/// verification does not bound the scenario sizes that can be checked.
+/// Memory: the window's run-length state (`O(n + |G^∪T|)`, inside
+/// [`GraphWindow`]) plus the `O(n)` ledger; no graph is materialized on
+/// the incremental path, so verification does not bound the scenario sizes
+/// that can be checked.
 pub struct TDynamicVerifier<P: DynamicProblem> {
     problem: P,
     window_size: usize,
@@ -516,9 +512,9 @@ impl<P: DynamicProblem> TDynamicVerifier<P> {
 
     /// Feeds the next round (graph + output snapshot) into the verifier.
     ///
-    /// On the first call this fixes the universe size and window. Later
-    /// calls are the compatibility path: the graph is diffed against the
-    /// previous round (`O(n + |E|)`) and the outputs are re-scanned
+    /// On the first call this fixes the universe size and window. This is
+    /// the whole-graph path of the oracle: the graph is diffed against the
+    /// window's run state (`O(n + |E|)`) and the outputs are re-scanned
     /// (`O(n)`); only the *check* stays dirty-set incremental. Streaming
     /// callers holding the round's delta should use
     /// [`TDynamicVerifier::observe_delta`] /
@@ -537,10 +533,11 @@ impl<P: DynamicProblem> TDynamicVerifier<P> {
     /// graph — the `O(|δ|)` window-maintenance path of the delta pipeline.
     ///
     /// # Errors
-    /// Returns [`VerifyError::DeltaBeforeInitialGraph`] if no round has been
-    /// observed yet: round 0 must be supplied as a whole graph via
-    /// [`TDynamicVerifier::observe`] (the [`dynnet_runtime::RoundObserver`]
-    /// hook falls back to the materialized graph automatically).
+    /// Returns [`VerifyError::DeltaBeforeInitialGraph`] if the universe size
+    /// is still unknown: the first round must come through
+    /// [`TDynamicVerifier::observe`] or the [`dynnet_runtime::RoundObserver`]
+    /// hook (which sizes the window from the round's graph and then feeds
+    /// round 0 as a delta from the all-asleep graph).
     pub fn observe_delta(
         &mut self,
         delta: &GraphDelta,
@@ -611,7 +608,7 @@ impl<P: DynamicProblem> TDynamicVerifier<P> {
             // keeps the ledger exact.
             let ledger = match ledger {
                 Some(ledger) => {
-                    ledger.apply_round(problem, update, outputs, changed);
+                    ledger.apply_round(problem, w, update, outputs, changed);
                     ledger
                 }
                 None => ledger.insert(ViolationLedger::init(problem, w, outputs)),
@@ -684,15 +681,17 @@ impl<P: DynamicProblem> dynnet_obs::MetricSource for TDynamicVerifier<P> {
 }
 
 impl<P: DynamicProblem> dynnet_runtime::RoundObserver<P::Output> for TDynamicVerifier<P> {
+    /// Every round, round 0 included, arrives as a delta (round 0's from the
+    /// all-asleep graph), so the window is sized from the round's graph and
+    /// fed the delta: `O(|δ|)` window maintenance, no graph conversion, and
+    /// the simulator's churn list makes the check `O(|δ| + churn)`. A view
+    /// without a delta is read as an unchanged topology.
     fn on_round(&mut self, view: &dynnet_runtime::RoundView<'_, P::Output>) {
-        match view.delta {
-            // Delta path: O(|δ|) window update, no CSR→Graph conversion;
-            // the simulator's churn list makes the check O(|δ| + churn).
-            Some(delta) if self.window.is_some() => self
-                .observe_delta_with_churn(delta, view.outputs, view.changed_outputs)
-                .expect("window initialized"),
-            _ => self.observe(view.current_graph(), view.outputs),
-        }
+        let (n, t) = (view.graph.num_nodes(), self.window_size);
+        let w = self.window.get_or_insert_with(|| GraphWindow::new(n, t));
+        let _span = dynnet_obs::phase_span("verify", "observe_delta");
+        let update = w.push_delta(view.delta.unwrap_or(&GraphDelta::new()));
+        self.check_round(&update, view.outputs, view.changed_outputs);
     }
 }
 

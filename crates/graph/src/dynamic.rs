@@ -141,29 +141,6 @@ impl GraphDelta {
         g
     }
 
-    /// Un-applies this delta in place: `g` must be the graph this delta was
-    /// applied to, and the delta must be *tight* (every listed change really
-    /// happened — no inserting of already-present edges, no removing of
-    /// absent ones; [`GraphDelta::between`] and the window's realized deltas
-    /// are tight by construction). After the call `g` is the pre-delta graph.
-    pub fn unapply(&self, g: &mut Graph) {
-        for e in &self.inserted {
-            g.remove_edge(e.u, e.v);
-        }
-        for e in &self.removed {
-            g.insert_edge(e.u, e.v);
-        }
-        for &v in &self.deactivated {
-            g.activate(v);
-        }
-        for &v in &self.woken {
-            // A node that woke this round was inactive (hence edge-free)
-            // before; its gained edges were listed in `inserted` and are
-            // already gone.
-            g.deactivate(v);
-        }
-    }
-
     /// Total number of topological changes (edge insertions + deletions).
     pub fn num_edge_changes(&self) -> usize {
         self.inserted.len() + self.removed.len()
@@ -343,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn materialize_and_unapply_roundtrip() {
+    fn materialize_applies_between() {
         let mut g0 = Graph::new_all_asleep(5);
         g0.insert_edge(NodeId::new(0), NodeId::new(1));
         g0.insert_edge(NodeId::new(1), NodeId::new(2));
@@ -354,9 +331,6 @@ mod tests {
         g1.deactivate(NodeId::new(4));
         let delta = GraphDelta::between(&g0, &g1);
         assert_eq!(delta.materialize(&g0), g1);
-        let mut back = g1.clone();
-        delta.unapply(&mut back);
-        assert_eq!(back, g0);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!   (`O(|δ|)` per round on the sparse-churn path).
 //! * [`GraphWindow`] — delta-native sliding window exposing the
 //!   `T`-intersection graph `G^∩T_r` and `T`-union graph `G^∪T_r`
-//!   (Definition 2.1), plus "locally static" neighborhood checks. Every push
-//!   returns a [`WindowUpdate`] — the round's window-membership events
-//!   (tight delta, edges aging out of the union, runs maturing into the
-//!   intersection) that incremental consumers such as the `O(|δ| + churn)`
-//!   T-dynamic verifier in `dynnet-core` patch their state from.
+//!   (Definition 2.1) from run-length state alone, with `O(deg)` union
+//!   neighbourhood queries. Every push (round 0 included, as a delta from
+//!   the all-asleep graph) returns a [`WindowUpdate`] — the round's
+//!   window-membership events (tight delta, edges aging out of the union,
+//!   runs maturing into the intersection) that incremental consumers such
+//!   as the `O(|δ| + churn)` T-dynamic verifier in `dynnet-core` read.
 //! * [`GraphDelta`] / [`DynamicGraphTrace`] — the per-round change records
 //!   that are the native currency of the round pipeline, and recorded
 //!   dynamic graph sequences for replaying identical adversarial schedules
@@ -126,6 +127,27 @@ mod randomized_tests {
         }
     }
 
+    /// Brute-force `(G^∩T, G^∪T)`: `Graph::intersection` / `Graph::union`
+    /// folded over the last `t` graphs pushed.
+    fn fold_window(pushed: &[Graph], t: usize) -> (Graph, Graph) {
+        let last = &pushed[pushed.len().saturating_sub(t)..];
+        let first = last[0].clone();
+        let inter = last[1..]
+            .iter()
+            .fold(first.clone(), |acc, g| acc.intersection(g));
+        let union = last[1..].iter().fold(first, |acc, g| acc.union(g));
+        (inter, union)
+    }
+
+    /// `graphs` re-mapped onto the largest universe among them.
+    fn on_common_universe(graphs: &[Graph]) -> Vec<Graph> {
+        let n = graphs.iter().map(|g| g.num_nodes()).max().unwrap();
+        graphs
+            .iter()
+            .map(|g| Graph::from_edges(n, g.edges()))
+            .collect()
+    }
+
     #[test]
     fn window_incremental_matches_bruteforce() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -135,23 +157,13 @@ mod randomized_tests {
             let graphs: Vec<Graph> = (0..num_graphs)
                 .map(|_| random_graph(10, &mut rng))
                 .collect();
-            // All graphs must share a universe; re-map them onto the max n.
-            let n = graphs.iter().map(|g| g.num_nodes()).max().unwrap();
-            let mut w = GraphWindow::new(n, window);
-            for g in &graphs {
-                let mut resized = Graph::new(n);
-                for e in g.edges() {
-                    resized.insert_edge(e.u, e.v);
-                }
-                w.push(&resized);
-                assert_eq!(
-                    w.intersection_graph().edge_vec(),
-                    w.intersection_graph_bruteforce().edge_vec()
-                );
-                assert_eq!(
-                    w.union_graph().edge_vec(),
-                    w.union_graph_bruteforce().edge_vec()
-                );
+            let graphs = on_common_universe(&graphs);
+            let mut w = GraphWindow::new(graphs[0].num_nodes(), window);
+            for r in 0..graphs.len() {
+                w.push(&graphs[r]);
+                let (inter, union) = fold_window(&graphs[..=r], window);
+                assert_eq!(w.intersection_graph().edge_vec(), inter.edge_vec());
+                assert_eq!(w.union_graph().edge_vec(), union.edge_vec());
             }
         }
     }
@@ -164,14 +176,10 @@ mod randomized_tests {
             let graphs: Vec<Graph> = (0..num_graphs)
                 .map(|_| random_graph(10, &mut rng))
                 .collect();
-            let n = graphs.iter().map(|g| g.num_nodes()).max().unwrap();
-            let mut w = GraphWindow::new(n, 4);
+            let graphs = on_common_universe(&graphs);
+            let mut w = GraphWindow::new(graphs[0].num_nodes(), 4);
             for g in &graphs {
-                let mut resized = Graph::new(n);
-                for e in g.edges() {
-                    resized.insert_edge(e.u, e.v);
-                }
-                w.push(&resized);
+                w.push(g);
             }
             let inter = w.intersection_graph();
             let uni = w.union_graph();
@@ -179,7 +187,7 @@ mod randomized_tests {
                 assert!(uni.has_edge(e.u, e.v), "G^∩T ⊆ G^∪T must hold");
             }
             // Current graph lies between them edge-wise.
-            let cur = w.current().unwrap();
+            let cur = graphs.last().unwrap();
             for e in inter.edges() {
                 assert!(cur.has_edge(e.u, e.v), "G^∩T ⊆ G_r");
             }

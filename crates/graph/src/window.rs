@@ -5,20 +5,26 @@
 //! (and the nodes awake throughout them); `G^∪T_r` contains the edges present
 //! in *at least one* of the last `T` rounds, over the same node set `V^∩T_r`.
 //!
-//! [`GraphWindow`] is *delta-native*: after the initial graph it consumes
-//! per-round [`GraphDelta`]s (via [`GraphWindow::push_delta`]) and maintains
-//! run-length state per edge and per node — the round at which the current
-//! presence/absence run started. A round update therefore costs `O(|δ|)`
-//! (amortized, including garbage collection of edges that left the union),
-//! not `O(|E_r|)`: membership in the intersection and union follows from the
-//! run lengths alone, and nothing is recounted when the window slides over
-//! an unchanged edge. [`GraphWindow::push`] remains as the whole-graph
-//! compatibility path (it diffs against the current graph internally).
+//! [`GraphWindow`] keeps no graph. It consumes one [`GraphDelta`] per round
+//! ([`GraphWindow::push_delta`]; round 0 is the delta from the all-asleep
+//! graph) and keeps only run-length state: per edge and per node, whether it
+//! is present now and the round at which that presence/absence run started.
+//! Membership in the intersection and the union follows from the run lengths
+//! alone, so a round costs `O(|δ|)` amortized (including garbage collection
+//! of edges that left the union), not `O(|E_r|)`. Per-node incidence lists
+//! over the same edge entries answer neighbourhood queries in `O(deg)`:
+//! after every push, `incidence[v]` is exactly `v`'s neighbourhood in
+//! `G^∪T_r` ([`GraphWindow::union_neighbors`]).
+//!
+//! [`GraphWindow::push`] is the whole-graph path kept for the oracle
+//! verifier and tests: it diffs the graph against the run state and
+//! forwards to the delta path.
 
 use crate::dynamic::GraphDelta;
 use crate::graph::Graph;
 use crate::node::{Edge, NodeId};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// One presence run: `on` is the current state, `since` the round at which
 /// this run started (an absent edge with `since = s` was last present in
@@ -39,8 +45,8 @@ struct Span {
 struct EdgeEntry {
     on: bool,
     since: u64,
-    pos_u: usize,
-    pos_v: usize,
+    pos_u: u32,
+    pos_v: u32,
 }
 
 /// The window-membership changes produced by pushing one round into a
@@ -49,9 +55,11 @@ struct EdgeEntry {
 ///
 /// Together the seven lists describe *every* way the window graphs of
 /// Definition 2.1 can change between consecutive rounds, so a delta-aware
-/// consumer (the incremental T-dynamic verifier in `dynnet-core`) can patch
-/// materialized `G^∩T` / `G^∪T` / `V^∩T` state in `O(|update|)` instead of
-/// re-materializing them:
+/// consumer (the incremental T-dynamic verifier in `dynnet-core`) knows
+/// which nodes' window neighbourhoods changed without re-materializing the
+/// window graphs. Round 0 is no special case: its update lists every initial
+/// edge and active node as inserted/woken, and (the window then spanning one
+/// round) as joined to the intersection:
 ///
 /// * the tight per-round delta (`inserted`, `removed`, `woken`,
 ///   `deactivated`) — `inserted` edges join `G^∪T` and `removed` edges leave
@@ -69,11 +77,6 @@ struct EdgeEntry {
 /// verdict can change this round.
 #[derive(Clone, Debug, Default)]
 pub struct WindowUpdate {
-    /// `true` for the round-0 push: every edge and active node of the
-    /// initial graph is listed as new, and consumers holding no prior state
-    /// should initialize from the materialized window graphs instead of
-    /// patching.
-    pub initial: bool,
     /// Edges inserted into the current graph this round (tight: every listed
     /// edge was really absent before). They are in `G^∪T` from this round on.
     pub inserted: Vec<Edge>,
@@ -144,29 +147,23 @@ pub struct GraphWindow {
     /// Total rounds pushed so far; the current round index is
     /// `rounds_pushed - 1`.
     rounds_pushed: u64,
-    /// The most recent graph, materialized.
-    current: Graph,
-    /// Realized (tight) deltas between consecutive window rounds, oldest
-    /// first — at most `T - 1` of them; past rounds are reconstructed by
-    /// un-applying them from `current`.
-    deltas: VecDeque<GraphDelta>,
-    /// Presence run per edge that is present now or was present within the
-    /// window (stale absent entries are garbage-collected lazily).
+    /// Presence run of every edge of `G^∪T`: present now, or absent but
+    /// last present inside the window (absent entries are garbage-collected
+    /// when their last present round slides out). The entries with `on` set
+    /// are exactly the current graph's edges.
     ///
     /// A `BTreeMap` so that iterating it ([`GraphWindow::intersection_graph`],
-    /// [`GraphWindow::union_graph`]) visits edges in `Ord` order — the
-    /// materialized graphs are independent of insertion history by
-    /// construction, not by the downstream `Graph` happening to sort.
+    /// [`GraphWindow::union_graph`], the diff in [`GraphWindow::push`])
+    /// visits edges in `Ord` order — the results are independent of
+    /// insertion history by construction.
     edge_state: BTreeMap<Edge, EdgeEntry>,
     /// Per-node incidence lists over `edge_state`: `incidence[v]` holds the
-    /// other endpoint of every edge that currently has an `edge_state` entry
-    /// (present, or absent but still inside the union window). Maintained by
-    /// the same insert/GC events as `edge_state`, it lets the degree queries
-    /// ([`GraphWindow::union_degree`], [`GraphWindow::intersection_degree`])
-    /// and [`GraphWindow::locally_static`] touch `O(deg)` entries instead of
-    /// scanning the whole `O(|G^∪T|)` edge map.
+    /// other endpoint of every edge entry at `v`. Maintained by the same
+    /// insert/GC events as `edge_state`, so after each push it is `v`'s
+    /// `G^∪T` neighbourhood, and the degree queries touch `O(deg)` entries
+    /// instead of scanning the whole edge map.
     incidence: Vec<Vec<NodeId>>,
-    /// Activity run per node.
+    /// Activity run per node (`on` = active in the current round).
     node_state: Vec<Span>,
     /// `(round_removed, edge)` queue driving the lazy GC of absent edges
     /// that have slid out of the union.
@@ -182,15 +179,14 @@ pub struct GraphWindow {
 
 impl GraphWindow {
     /// Creates an empty window of size `window` (the paper's parameter `T ≥ 1`)
-    /// over a universe of `n` nodes.
+    /// over a universe of `n` nodes. Before the first push every node is
+    /// asleep and there are no edges.
     pub fn new(n: usize, window: usize) -> Self {
         assert!(window >= 1, "window size T must be at least 1");
         GraphWindow {
             n,
             window,
             rounds_pushed: 0,
-            current: Graph::new_all_asleep(n),
-            deltas: VecDeque::new(),
             edge_state: BTreeMap::new(),
             incidence: vec![Vec::new(); n],
             node_state: vec![
@@ -241,161 +237,98 @@ impl GraphWindow {
     /// Pushes the communication graph of the next round into the window and
     /// returns the round's [`WindowUpdate`].
     ///
-    /// Compatibility path: diffs `g` against the current graph (`O(|E|)`)
-    /// and forwards to the delta path. Streaming callers that already hold
-    /// the round's delta should use [`GraphWindow::push_delta`] instead.
+    /// Whole-graph path for the oracle verifier and tests: diffs `g` against
+    /// the run state (`O(n + |E| + |G^∪T|)`) and forwards to
+    /// [`GraphWindow::push_delta`]. Streaming callers that hold the round's
+    /// delta should call that directly.
     pub fn push(&mut self, g: &Graph) -> WindowUpdate {
         assert_eq!(g.num_nodes(), self.n, "graph universe mismatch");
-        if self.rounds_pushed == 0 {
-            self.current = g.clone();
-            let mut update = WindowUpdate {
-                initial: true,
-                ..WindowUpdate::default()
-            };
-            for e in g.edges() {
-                let (pos_u, pos_v) = self.add_incidence(e);
-                self.edge_state.insert(
-                    e,
-                    EdgeEntry {
-                        on: true,
-                        since: 0,
-                        pos_u,
-                        pos_v,
-                    },
-                );
-                update.inserted.push(e);
-                // A one-round window spans the whole (one-round) history.
-                update.edges_joined_intersection.push(e);
+        let mut delta = GraphDelta::new();
+        delta.inserted = g
+            .edges()
+            .filter(|e| !self.edge_state.get(e).is_some_and(|s| s.on))
+            .collect();
+        delta.removed = self
+            .edge_state
+            .iter()
+            .filter(|(e, s)| s.on && !g.has_edge(e.u, e.v))
+            .map(|(&e, _)| e)
+            .collect();
+        for (v, s) in g.nodes().zip(&self.node_state) {
+            match (s.on, g.is_active(v)) {
+                (false, true) => delta.woken.push(v),
+                (true, false) => delta.deactivated.push(v),
+                _ => {}
             }
-            for i in 0..self.n {
-                let on = g.is_active(NodeId::new(i));
-                self.node_state[i] = Span { on, since: 0 };
-                if on {
-                    update.woken.push(NodeId::new(i));
-                    update.nodes_joined_intersection.push(NodeId::new(i));
-                }
-            }
-            self.rounds_pushed = 1;
-            return update;
         }
-        let delta = GraphDelta::between(&self.current, g);
         self.push_delta(&delta)
     }
 
-    /// Pushes the next round as a delta relative to the current graph —
-    /// the `O(|δ|)` streaming path — and returns the round's
-    /// [`WindowUpdate`] (the tight delta plus the window-expiry events).
-    /// The delta may be loose (no-op changes are tolerated); it is tightened
-    /// against the current graph while being applied.
-    ///
-    /// # Panics
-    /// Panics if no initial graph has been pushed yet (round 0 must be
-    /// supplied as a whole graph via [`GraphWindow::push`]).
+    /// Pushes the next round as a delta relative to the previous round — the
+    /// `O(|δ|)` streaming path — and returns the round's [`WindowUpdate`]
+    /// (the tight delta plus the window-expiry events). Round 0's delta is
+    /// relative to the all-asleep graph. The delta may be loose (no-op
+    /// changes are tolerated); it is tightened against the run state while
+    /// being applied.
     pub fn push_delta(&mut self, delta: &GraphDelta) -> WindowUpdate {
-        assert!(
-            self.rounds_pushed > 0,
-            "push the round-0 graph via GraphWindow::push before pushing deltas"
-        );
         let round = self.rounds_pushed;
-        let tight = self.realize(delta);
-
+        let GraphDelta {
+            inserted,
+            removed,
+            woken,
+            deactivated,
+        } = self.realize(delta, round);
+        self.rounds_pushed += 1;
+        let start = self.start();
+        // Runs started this round span the whole window at once in round 0
+        // (a one-round window) and for `T = 1`; they mature below without a
+        // round trip through the queues — in round 0 that is every edge.
+        let immediate = round <= start;
+        if !immediate {
+            self.edge_maturity_queue
+                .extend(inserted.iter().map(|&e| (round, e)));
+            self.node_maturity_queue
+                .extend(woken.iter().map(|&v| (round, v)));
+        }
+        self.gc_queue.extend(removed.iter().map(|&e| (round, e)));
         let mut update = WindowUpdate {
-            initial: false,
-            inserted: tight.inserted.clone(),
-            removed: tight.removed.clone(),
-            woken: tight.woken.clone(),
-            deactivated: tight.deactivated.clone(),
+            inserted,
+            removed,
+            woken,
+            deactivated,
             ..WindowUpdate::default()
         };
 
-        for e in &tight.inserted {
-            // A brand-new entry (not a re-insertion of an edge still inside
-            // the union window) joins the incidence lists; re-insertions
-            // keep their stored positions and just flip the run.
-            match self.edge_state.get_mut(e) {
-                Some(entry) => {
-                    entry.on = true;
-                    entry.since = round;
-                }
-                None => {
-                    let (pos_u, pos_v) = self.add_incidence(*e);
-                    self.edge_state.insert(
-                        *e,
-                        EdgeEntry {
-                            on: true,
-                            since: round,
-                            pos_u,
-                            pos_v,
-                        },
-                    );
-                }
-            }
-            self.edge_maturity_queue.push_back((round, *e));
-        }
-        for e in &tight.removed {
-            // `realize` only reports removals of edges present in the
-            // current graph, and every present edge has a window entry; a
-            // miss would mean the incidence bookkeeping already diverged,
-            // so skipping (rather than panicking) keeps the window usable.
-            debug_assert!(
-                self.edge_state.contains_key(e),
-                "removed edge {e:?} untracked"
-            );
-            if let Some(entry) = self.edge_state.get_mut(e) {
-                entry.on = false;
-                entry.since = round;
-                self.gc_queue.push_back((round, *e));
-            }
-        }
-        for &v in &tight.woken {
-            self.node_state[v.index()] = Span {
-                on: true,
-                since: round,
-            };
-            self.node_maturity_queue.push_back((round, v));
-        }
-        for &v in &tight.deactivated {
-            self.node_state[v.index()] = Span {
-                on: false,
-                since: round,
-            };
-        }
-
-        self.deltas.push_back(tight);
-        while self.deltas.len() + 1 > self.window {
-            self.deltas.pop_front();
-        }
-        self.rounds_pushed += 1;
-
         // GC: absent edges whose removal round slid out of the window are no
         // longer in the union and can be forgotten.
-        let start = self.start();
         while let Some(&(r, e)) = self.gc_queue.front() {
             if r > start {
                 break;
             }
             self.gc_queue.pop_front();
-            if let std::collections::btree_map::Entry::Occupied(occ) = self.edge_state.entry(e) {
+            if let Entry::Occupied(occ) = self.edge_state.entry(e) {
                 if !occ.get().on && occ.get().since == r {
                     let entry = occ.remove();
-                    self.drop_incidence(e, entry);
+                    drop_incidence(&mut self.incidence, &mut self.edge_state, e, entry);
                     update.edges_left_union.push(e);
                 }
             }
         }
-        // Maturity: a presence/activity run started in round `r` spans the
-        // whole window once the window start reaches `r` (for `T = 1` that
-        // is this very round). A run superseded by a later event has
-        // `since != r` and is skipped — its own queue entry handles it.
+        // Maturity: a presence/activity run started in an earlier round `r`
+        // spans the whole window once the window start reaches `r`. A run
+        // superseded by a later event has `since != r` and is skipped — its
+        // own queue entry handles it.
         while let Some(&(r, e)) = self.edge_maturity_queue.front() {
             if r > start {
                 break;
             }
             self.edge_maturity_queue.pop_front();
-            if let Some(s) = self.edge_state.get(&e) {
-                if s.on && s.since == r {
-                    update.edges_joined_intersection.push(e);
-                }
+            if self
+                .edge_state
+                .get(&e)
+                .is_some_and(|s| s.on && s.since == r)
+            {
+                update.edges_joined_intersection.push(e);
             }
         }
         while let Some(&(r, v)) = self.node_maturity_queue.front() {
@@ -408,186 +341,172 @@ impl GraphWindow {
                 update.nodes_joined_intersection.push(v);
             }
         }
+        if immediate {
+            // Every tight insertion is present with a run started this
+            // round; a node woken this round may have been deactivated again.
+            update
+                .edges_joined_intersection
+                .extend_from_slice(&update.inserted);
+            let node_state = &self.node_state;
+            update
+                .nodes_joined_intersection
+                .extend(update.woken.iter().filter(|v| node_state[v.index()].on));
+        }
         update
     }
 
-    /// Registers a fresh `edge_state` entry in both endpoints' incidence
-    /// lists, returning its positions `(pos_u, pos_v)` in them.
-    fn add_incidence(&mut self, e: Edge) -> (usize, usize) {
-        let pos_u = self.incidence[e.u.index()].len();
-        self.incidence[e.u.index()].push(e.v);
-        let pos_v = self.incidence[e.v.index()].len();
-        self.incidence[e.v.index()].push(e.u);
-        (pos_u, pos_v)
-    }
-
-    /// Removes a garbage-collected `edge_state` entry from both endpoints'
-    /// incidence lists in `O(1)`: swap-remove at the entry's stored
-    /// positions and patch the stored position of the one edge that moved.
-    fn drop_incidence(&mut self, e: Edge, entry: EdgeEntry) {
-        Self::incidence_swap_remove(&mut self.incidence, &mut self.edge_state, e.u, entry.pos_u);
-        Self::incidence_swap_remove(&mut self.incidence, &mut self.edge_state, e.v, entry.pos_v);
-    }
-
-    fn incidence_swap_remove(
-        incidence: &mut [Vec<NodeId>],
-        edge_state: &mut BTreeMap<Edge, EdgeEntry>,
-        v: NodeId,
-        pos: usize,
-    ) {
-        let list = &mut incidence[v.index()];
-        list.swap_remove(pos);
-        if pos < list.len() {
-            // The former last entry moved into `pos`: update its edge's
-            // stored position on `v`'s side. Incidence entries exist only
-            // for tracked edges, so the lookup cannot miss unless the two
-            // structures already diverged — assert in debug, tolerate in
-            // release.
-            let moved_edge = Edge::new(v, list[pos]);
-            debug_assert!(edge_state.contains_key(&moved_edge));
-            if let Some(moved) = edge_state.get_mut(&moved_edge) {
-                if moved_edge.u == v {
-                    moved.pos_u = pos;
-                } else {
-                    moved.pos_v = pos;
-                }
-            }
-        }
-    }
-
-    /// Applies `delta` to the current graph, returning the *tight* delta of
-    /// changes that actually took effect (including edges dropped by node
-    /// deactivation and nodes implicitly woken by edge insertion).
-    fn realize(&mut self, delta: &GraphDelta) -> GraphDelta {
-        let g = &mut self.current;
-        let mut tight = GraphDelta::default();
+    /// Applies `delta` to the run state as round `round`, returning the
+    /// *tight* delta of changes that actually took effect (including edges
+    /// dropped by node deactivation and nodes implicitly woken by edge
+    /// insertion). The order is that of [`GraphDelta::apply`]: wake-ups,
+    /// insertions, removals, deactivations.
+    fn realize(&mut self, delta: &GraphDelta, round: u64) -> GraphDelta {
+        let mut tight = GraphDelta::new();
         for &v in &delta.woken {
-            if !g.is_active(v) {
-                g.activate(v);
-                tight.woken.push(v);
-            }
+            self.wake(v, round, &mut tight.woken);
         }
-        for e in &delta.inserted {
-            if !g.has_edge(e.u, e.v) {
-                for w in [e.u, e.v] {
-                    if !g.is_active(w) {
-                        tight.woken.push(w);
+        // Re-inserted edges that were still inside the union, with the start
+        // of their absence run — restored if this delta removes them again.
+        let mut revived: HashMap<Edge, u64> = HashMap::new();
+        for &e in &delta.inserted {
+            match self.edge_state.entry(e) {
+                Entry::Occupied(mut occ) => {
+                    let s = occ.get_mut();
+                    if s.on {
+                        continue;
                     }
+                    revived.insert(e, s.since);
+                    s.on = true;
+                    s.since = round;
                 }
-                g.insert_edge(e.u, e.v);
-                tight.inserted.push(*e);
+                Entry::Vacant(vac) => {
+                    let (pos_u, pos_v) = add_incidence(&mut self.incidence, e);
+                    vac.insert(EdgeEntry {
+                        on: true,
+                        since: round,
+                        pos_u,
+                        pos_v,
+                    });
+                }
             }
+            self.wake(e.u, round, &mut tight.woken);
+            self.wake(e.v, round, &mut tight.woken);
+            tight.inserted.push(e);
         }
-        for e in &delta.removed {
-            if g.remove_edge(e.u, e.v) {
-                tight.removed.push(*e);
-            }
+        let mut cancelled: HashSet<Edge> = HashSet::new();
+        for &e in &delta.removed {
+            self.remove(e, round, &revived, &mut cancelled, &mut tight.removed);
         }
         for &v in &delta.deactivated {
-            if g.is_active(v) {
-                for u in g.neighbors_vec(v) {
-                    g.remove_edge(v, u);
-                    tight.removed.push(Edge::new(v, u));
-                }
-                g.deactivate(v);
-                tight.deactivated.push(v);
+            if !self.node_state[v.index()].on {
+                continue;
             }
-        }
-        // An edge inserted *and* removed by the same delta (insertions apply
-        // first) was never present in any round's final graph: cancel the
-        // pair so the tight delta records the net round transition.
-        if !tight.inserted.is_empty() && !tight.removed.is_empty() {
-            let removed: HashSet<Edge> = tight.removed.iter().copied().collect();
-            let cancelled: HashSet<Edge> = tight
-                .inserted
+            let mut present: Vec<NodeId> = self.incidence[v.index()]
                 .iter()
-                .filter(|e| removed.contains(e))
                 .copied()
+                .filter(|&u| self.edge_state.get(&Edge::new(v, u)).is_some_and(|s| s.on))
                 .collect();
-            if !cancelled.is_empty() {
-                tight.inserted.retain(|e| !cancelled.contains(e));
-                tight.removed.retain(|e| !cancelled.contains(e));
+            present.sort_unstable();
+            for u in present {
+                let e = Edge::new(v, u);
+                self.remove(e, round, &revived, &mut cancelled, &mut tight.removed);
             }
+            self.node_state[v.index()] = Span {
+                on: false,
+                since: round,
+            };
+            tight.deactivated.push(v);
+        }
+        if !cancelled.is_empty() {
+            tight.inserted.retain(|e| !cancelled.contains(e));
         }
         tight
     }
 
-    /// The most recent graph `G_r`, if any round has been pushed.
-    pub fn current(&self) -> Option<&Graph> {
-        if self.rounds_pushed > 0 {
-            Some(&self.current)
-        } else {
-            None
+    /// Starts an activity run at `v` in `round` unless it is already active.
+    fn wake(&mut self, v: NodeId, round: u64, woken: &mut Vec<NodeId>) {
+        let s = &mut self.node_state[v.index()];
+        if !s.on {
+            *s = Span {
+                on: true,
+                since: round,
+            };
+            woken.push(v);
         }
     }
 
-    /// Reconstructs the oldest graph still inside the window.
-    pub fn oldest(&self) -> Option<Graph> {
-        self.ago(self.len().checked_sub(1)?)
+    /// Ends the presence run of `e` in `round` if it is present. An edge
+    /// inserted *and* removed by the same delta (insertions apply first) was
+    /// never present in any round's final graph: its removal restores the
+    /// run it had before the delta (`revived`, or no entry at all) and lists
+    /// it in `cancelled` instead of `removed`.
+    fn remove(
+        &mut self,
+        e: Edge,
+        round: u64,
+        revived: &HashMap<Edge, u64>,
+        cancelled: &mut HashSet<Edge>,
+        removed: &mut Vec<Edge>,
+    ) {
+        let Entry::Occupied(mut occ) = self.edge_state.entry(e) else {
+            return;
+        };
+        let s = occ.get_mut();
+        if !s.on {
+            return;
+        }
+        if s.since != round {
+            s.on = false;
+            s.since = round;
+            removed.push(e);
+            return;
+        }
+        cancelled.insert(e);
+        match revived.get(&e) {
+            Some(&since) => {
+                s.on = false;
+                s.since = since;
+            }
+            None => {
+                let entry = occ.remove();
+                drop_incidence(&mut self.incidence, &mut self.edge_state, e, entry);
+            }
+        }
     }
 
-    /// Reconstructs the graph `i` rounds ago (`0` = current), if in the
-    /// window. Costs `O(|G_r|)` for the clone plus the changes un-applied on
-    /// the way back.
-    pub fn ago(&self, i: usize) -> Option<Graph> {
-        if self.rounds_pushed == 0 || i >= self.len() {
-            return None;
-        }
-        let mut g = self.current.clone();
-        for d in self.deltas.iter().rev().take(i) {
-            d.unapply(&mut g);
-        }
-        Some(g)
+    /// `v`'s neighbourhood in the union graph `G^∪T_r`: every edge entry at
+    /// `v` is in the union once the push that produced it has collected the
+    /// expired ones. `O(1)`; the slice is in no particular order.
+    pub fn union_neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.incidence[v.index()]
     }
 
     /// Node set `V^∩T_r`: nodes that were awake in every round of the window.
     pub fn intersection_nodes(&self) -> Vec<NodeId> {
-        if self.rounds_pushed == 0 {
-            return Vec::new();
-        }
-        let start = self.start();
         (0..self.n)
-            .filter(|&i| {
-                let s = self.node_state[i];
-                s.on && s.since <= start
-            })
             .map(NodeId::new)
+            .filter(|&v| self.node_in_intersection(v))
             .collect()
     }
 
     /// Returns `true` if `v` has been awake for the whole window.
     pub fn node_in_intersection(&self, v: NodeId) -> bool {
-        if self.rounds_pushed == 0 {
-            return false;
-        }
         let s = self.node_state[v.index()];
-        s.on && s.since <= self.start()
+        self.rounds_pushed > 0 && s.on && s.since <= self.start()
     }
 
     /// Returns `true` if the edge was present in every round of the window.
     pub fn edge_in_intersection(&self, e: Edge) -> bool {
-        if self.rounds_pushed == 0 {
-            return false;
-        }
-        matches!(self.edge_state.get(&e), Some(s) if s.on && s.since <= self.start())
+        self.rounds_pushed > 0
+            && self
+                .edge_state
+                .get(&e)
+                .is_some_and(|s| s.on && s.since <= self.start())
     }
 
     /// Returns `true` if the edge was present in at least one window round.
     pub fn edge_in_union(&self, e: Edge) -> bool {
-        if self.rounds_pushed == 0 {
-            return false;
-        }
-        match self.edge_state.get(&e) {
-            Some(s) => self.span_in_union(s),
-            None => false,
-        }
-    }
-
-    /// Union membership from an edge's presence run: present now, or removed
-    /// recently enough that its last present round is inside the window.
-    #[inline]
-    fn span_in_union(&self, s: &EdgeEntry) -> bool {
-        s.on || s.since > self.start()
+        self.edge_state.contains_key(&e)
     }
 
     /// Materializes the intersection graph `G^∩T_r`.
@@ -596,15 +515,11 @@ impl GraphWindow {
     /// rounds are included.
     pub fn intersection_graph(&self) -> Graph {
         let mut g = Graph::new_all_asleep(self.n);
-        if self.rounds_pushed == 0 {
-            return g;
-        }
-        let start = self.start();
         for v in self.intersection_nodes() {
             g.activate(v);
         }
-        for (&e, s) in &self.edge_state {
-            if s.on && s.since <= start {
+        for &e in self.edge_state.keys() {
+            if self.edge_in_intersection(e) {
                 g.insert_edge(e.u, e.v);
             }
         }
@@ -614,89 +529,38 @@ impl GraphWindow {
     /// Materializes the union graph `G^∪T_r` (node set `V^∩T_r`, edge union).
     pub fn union_graph(&self) -> Graph {
         let mut g = Graph::new_all_asleep(self.n);
-        if self.rounds_pushed == 0 {
-            return g;
-        }
         for v in self.intersection_nodes() {
             g.activate(v);
         }
-        for (&e, s) in &self.edge_state {
-            if self.span_in_union(s) {
-                g.insert_edge(e.u, e.v);
-            }
+        for &e in self.edge_state.keys() {
+            g.insert_edge(e.u, e.v);
         }
         g
     }
 
     /// Degree of `v` in the union graph: the number of *distinct* neighbors
     /// seen in the last `T` rounds — the paper's notion of "degree" for the
-    /// (degree+1)-coloring covering constraint in dynamic networks.
-    /// `O(deg^∪T(v))` via the incidence list, not a scan of the edge map.
+    /// (degree+1)-coloring covering constraint in dynamic networks. `O(1)`.
     pub fn union_degree(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
-        self.incidence[v.index()]
-            .iter()
-            .filter(|&&u| self.span_in_union(&self.edge_state[&Edge::new(v, u)]))
-            .count()
+        self.union_neighbors(v).len()
     }
 
     /// Degree of `v` in the intersection graph (`O(deg^∪T(v))`).
     pub fn intersection_degree(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
-        let start = self.start();
-        self.incidence[v.index()]
+        self.union_neighbors(v)
             .iter()
-            .filter(|&&u| {
-                let s = self.edge_state[&Edge::new(v, u)];
-                s.on && s.since <= start
-            })
+            .filter(|&&u| self.edge_in_intersection(Edge::new(v, u)))
             .count()
-    }
-
-    /// Returns `true` if the α-neighborhood of `v` (measured in the *current*
-    /// graph) has been static over the whole window: no edge incident to a
-    /// node of `N^α(v) ∪ {v}` was inserted or removed within the window
-    /// rounds, so every window graph induces the same adjacency on the ball.
-    ///
-    /// This is the premise of property B.2 (Definition 3.3) and of the
-    /// "locally static" clauses of Corollaries 1.2 and 1.3.
-    pub fn locally_static(&self, v: NodeId, alpha: usize) -> bool {
-        let Some(cur) = self.current() else {
-            return false;
-        };
-        let ball = crate::neighborhood::neighborhood(cur, v, alpha);
-        let start = self.start();
-        // Walk only the edges incident to the ball (incidence lists), not
-        // the whole edge map. An `edge_state` entry whose run started inside
-        // the window is either an edge inserted within it (`on`) or one
-        // removed within it (`!on` — absent entries whose run predates the
-        // window were garbage-collected when it slid); both break local
-        // staticness. Entries with `since ≤ start` are edges present in
-        // every window round, which is exactly the static case.
-        for &w in &ball {
-            for &u in &self.incidence[w.index()] {
-                if self.edge_state[&Edge::new(w, u)].since > start {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// The pre-incidence-list `union_degree`: a full scan of the edge map.
     /// Kept as the reference the equivalence tests compare against.
     #[cfg(test)]
     fn union_degree_scan(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
+        let start = self.start();
         self.edge_state
             .iter()
-            .filter(|(e, s)| e.contains(v) && self.span_in_union(s))
+            .filter(|(e, s)| e.contains(v) && (s.on || s.since > start))
             .count()
     }
 
@@ -713,59 +577,6 @@ impl GraphWindow {
             .count()
     }
 
-    /// The pre-incidence-list `locally_static` (full edge-map scan for the
-    /// removed-within-window clause, tests only).
-    #[cfg(test)]
-    fn locally_static_scan(&self, v: NodeId, alpha: usize) -> bool {
-        let Some(cur) = self.current() else {
-            return false;
-        };
-        let ball = crate::neighborhood::neighborhood(cur, v, alpha);
-        let start = self.start();
-        for &w in &ball {
-            for u in cur.neighbors(w) {
-                if self.edge_state[&Edge::new(w, u)].since > start {
-                    return false;
-                }
-            }
-        }
-        let ball_set: HashSet<NodeId> = ball.into_iter().collect();
-        for (e, s) in &self.edge_state {
-            if !s.on && s.since > start && (ball_set.contains(&e.u) || ball_set.contains(&e.v)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Brute-force recomputation of the intersection graph (used by tests to
-    /// validate the incremental maintenance).
-    pub fn intersection_graph_bruteforce(&self) -> Graph {
-        self.fold_window_graphs(|acc, g| acc.intersection(g))
-    }
-
-    /// Brute-force recomputation of the union graph (testing aid).
-    pub fn union_graph_bruteforce(&self) -> Graph {
-        self.fold_window_graphs(|acc, g| acc.union(g))
-    }
-
-    /// Folds `combine` over the window's rounds, oldest first (the empty
-    /// window folds to the all-asleep graph). Every `i < len()` is a valid
-    /// [`GraphWindow::ago`] index, so the accumulator is seeded from the
-    /// oldest round without any unwrap.
-    fn fold_window_graphs(&self, combine: impl Fn(Graph, &Graph) -> Graph) -> Graph {
-        let mut acc: Option<Graph> = None;
-        for i in (0..self.len()).rev() {
-            if let Some(g) = self.ago(i) {
-                acc = Some(match acc {
-                    None => g,
-                    Some(a) => combine(a, &g),
-                });
-            }
-        }
-        acc.unwrap_or_else(|| Graph::new_all_asleep(self.n))
-    }
-
     /// Depths of the window's internal maintenance queues (the lazy union
     /// GC and the edge/node intersection-maturity queues) — observability
     /// counters surfaced as the `window.*` metrics.
@@ -774,6 +585,64 @@ impl GraphWindow {
             gc: self.gc_queue.len(),
             edge_maturity: self.edge_maturity_queue.len(),
             node_maturity: self.node_maturity_queue.len(),
+        }
+    }
+}
+
+/// Registers a fresh edge entry in both endpoints' incidence lists,
+/// returning its positions `(pos_u, pos_v)` in them. A list holds at most
+/// one entry per other node, and node ids are `u32`, so a position fits.
+fn add_incidence(incidence: &mut [Vec<NodeId>], e: Edge) -> (u32, u32) {
+    let list_u = &mut incidence[e.u.index()];
+    let pos_u = list_u.len() as u32;
+    list_u.push(e.v);
+    let list_v = &mut incidence[e.v.index()];
+    let pos_v = list_v.len() as u32;
+    list_v.push(e.u);
+    (pos_u, pos_v)
+}
+
+/// Removes a dropped edge entry from both endpoints' incidence lists in
+/// `O(1)`: swap-remove at the entry's stored positions and patch the stored
+/// position of the one edge that moved.
+fn drop_incidence(
+    incidence: &mut [Vec<NodeId>],
+    edge_state: &mut BTreeMap<Edge, EdgeEntry>,
+    e: Edge,
+    entry: EdgeEntry,
+) {
+    incidence_swap_remove(incidence, edge_state, e.u, entry.pos_u);
+    incidence_swap_remove(incidence, edge_state, e.v, entry.pos_v);
+}
+
+fn incidence_swap_remove(
+    incidence: &mut [Vec<NodeId>],
+    edge_state: &mut BTreeMap<Edge, EdgeEntry>,
+    v: NodeId,
+    pos: u32,
+) {
+    let list = &mut incidence[v.index()];
+    let pos = pos as usize;
+    debug_assert!(pos < list.len(), "stale incidence position");
+    if pos >= list.len() {
+        return;
+    }
+    list.swap_remove(pos);
+    // The former last entry, if any, moved into `pos`: update its edge's
+    // stored position on `v`'s side. Incidence entries exist only for
+    // tracked edges, so the lookup cannot miss unless the two structures
+    // already diverged — assert in debug, tolerate in release.
+    let Some(&moved_to) = list.get(pos) else {
+        return;
+    };
+    let moved_edge = Edge::new(v, moved_to);
+    debug_assert!(edge_state.contains_key(&moved_edge));
+    if let Some(moved) = edge_state.get_mut(&moved_edge) {
+        // `pos` came from a `u32` position, so it still fits.
+        if moved_edge.u == v {
+            moved.pos_u = pos as u32;
+        } else {
+            moved.pos_v = pos as u32;
         }
     }
 }
@@ -798,6 +667,19 @@ mod tests {
 
     fn g(n: usize, edges: &[(usize, usize)]) -> Graph {
         Graph::from_edges(n, edges.iter().map(|&(a, b)| Edge::of(a, b)))
+    }
+
+    /// Brute-force window graphs: `(G^∩T, G^∪T)` folded with
+    /// `Graph::intersection` / `Graph::union` over the last `t` raw graphs a
+    /// test pushed — independent of the window's run-length state.
+    fn fold_window(pushed: &[Graph], t: usize) -> (Graph, Graph) {
+        let last = &pushed[pushed.len().saturating_sub(t)..];
+        let first = last[0].clone();
+        let inter = last[1..]
+            .iter()
+            .fold(first.clone(), |acc, g| acc.intersection(g));
+        let union = last[1..].iter().fold(first, |acc, g| acc.union(g));
+        (inter, union)
     }
 
     #[test]
@@ -848,17 +730,65 @@ mod tests {
         ];
         let mut by_graph = GraphWindow::new(5, 3);
         let mut by_delta = GraphWindow::new(5, 3);
-        let mut prev: Option<Graph> = None;
+        let mut prev = Graph::new_all_asleep(5);
         for gr in &seq {
             by_graph.push(gr);
-            match prev {
-                None => by_delta.push(gr),
-                Some(p) => by_delta.push_delta(&GraphDelta::between(&p, gr)),
-            };
-            prev = Some(gr.clone());
+            by_delta.push_delta(&GraphDelta::between(&prev, gr));
+            prev = gr.clone();
             assert_eq!(by_graph.intersection_graph(), by_delta.intersection_graph());
             assert_eq!(by_graph.union_graph(), by_delta.union_graph());
             assert_eq!(by_graph.len(), by_delta.len());
+        }
+    }
+
+    /// The fields of a [`WindowUpdate`], for whole-update comparisons.
+    fn lists(u: &WindowUpdate) -> [Vec<Edge>; 4] {
+        [
+            u.inserted.clone(),
+            u.removed.clone(),
+            u.edges_left_union.clone(),
+            u.edges_joined_intersection.clone(),
+        ]
+    }
+
+    #[test]
+    fn round_zero_push_equals_all_asleep_delta() {
+        // Round 0 is a delta from the all-asleep graph: pushing the graph
+        // and pushing that delta must agree on every update list and on the
+        // materialized window graphs, also with asleep nodes present.
+        let mut g0 = g(6, &[(0, 1), (1, 2), (4, 5)]);
+        g0.deactivate(NodeId::new(5));
+        g0.activate(NodeId::new(3));
+        let mut g1 = g0.clone();
+        g1.remove_edge(NodeId::new(0), NodeId::new(1));
+        g1.insert_edge(NodeId::new(2), NodeId::new(3));
+        for t in [1usize, 2, 6] {
+            let mut by_graph = GraphWindow::new(6, t);
+            let mut by_delta = GraphWindow::new(6, t);
+            let u_graph = by_graph.push(&g0);
+            let u_delta = by_delta.push_delta(&GraphDelta::between(&Graph::new_all_asleep(6), &g0));
+            assert_eq!(lists(&u_graph), lists(&u_delta), "T={t}");
+            assert_eq!(u_graph.woken, u_delta.woken, "T={t}");
+            assert_eq!(u_graph.deactivated, u_delta.deactivated, "T={t}");
+            assert_eq!(
+                u_graph.nodes_joined_intersection, u_delta.nodes_joined_intersection,
+                "T={t}"
+            );
+            assert_eq!(u_delta.inserted, g0.edge_vec(), "T={t}");
+            assert_eq!(u_delta.edges_joined_intersection, g0.edge_vec(), "T={t}");
+            let active: Vec<NodeId> = g0.active_nodes().collect();
+            assert_eq!(u_delta.woken, active, "T={t}");
+            assert_eq!(u_delta.nodes_joined_intersection, active, "T={t}");
+            assert_eq!(by_graph.intersection_graph(), by_delta.intersection_graph());
+            assert_eq!(by_graph.union_graph(), by_delta.union_graph());
+            let (inter, union) = fold_window(std::slice::from_ref(&g0), t);
+            assert_eq!(by_delta.intersection_graph().edge_vec(), inter.edge_vec());
+            assert_eq!(by_delta.union_graph().edge_vec(), union.edge_vec());
+            // The rounds after a delta-pushed round 0 match too.
+            let u1_graph = by_graph.push(&g1);
+            let u1_delta = by_delta.push_delta(&GraphDelta::between(&g0, &g1));
+            assert_eq!(lists(&u1_graph), lists(&u1_delta), "T={t}");
+            assert_eq!(by_graph.union_graph(), by_delta.union_graph());
         }
     }
 
@@ -873,24 +803,39 @@ mod tests {
         // Inserted *and* removed in one delta: net no-op (never present).
         loose.insert(NodeId::new(0), NodeId::new(2));
         loose.remove(NodeId::new(0), NodeId::new(2));
-        w.push_delta(&loose);
-        assert_eq!(
-            w.current().unwrap().edge_vec(),
-            vec![Edge::of(0, 1), Edge::of(1, 2)]
-        );
+        let u = w.push_delta(&loose);
+        assert_eq!(u.inserted, vec![Edge::of(1, 2)]);
+        assert!(u.removed.is_empty());
         assert!(w.edge_in_intersection(Edge::of(0, 1)));
         assert!(!w.edge_in_intersection(Edge::of(1, 2)));
         assert!(w.edge_in_union(Edge::of(1, 2)));
         assert!(!w.edge_in_union(Edge::of(0, 2)));
-        // The previous round reconstructs exactly despite the loose input.
-        assert_eq!(w.ago(1).unwrap().edge_vec(), vec![Edge::of(0, 1)]);
+        // The same window state as pushing the net graph.
+        let mut net = GraphWindow::new(3, 2);
+        net.push(&g(3, &[(0, 1)]));
+        net.push(&g(3, &[(0, 1), (1, 2)]));
+        assert_eq!(w.union_graph(), net.union_graph());
+        assert_eq!(w.intersection_graph(), net.intersection_graph());
     }
 
     #[test]
-    #[should_panic(expected = "round-0")]
-    fn push_delta_without_initial_graph_panics() {
+    fn cancelled_reinsertion_keeps_its_absence_run() {
+        // {0,1} is removed in round 1, then re-inserted and removed again by
+        // one delta in round 2: it stays absent, and it still leaves the
+        // union when round 0 (its last present round) slides out.
         let mut w = GraphWindow::new(3, 2);
-        w.push_delta(&GraphDelta::new());
+        w.push(&g(3, &[(0, 1)]));
+        let mut d1 = GraphDelta::new();
+        d1.remove(NodeId::new(0), NodeId::new(1));
+        w.push_delta(&d1);
+        let mut d2 = GraphDelta::new();
+        d2.insert(NodeId::new(0), NodeId::new(1));
+        d2.remove(NodeId::new(0), NodeId::new(1));
+        let u2 = w.push_delta(&d2);
+        assert!(u2.inserted.is_empty() && u2.removed.is_empty());
+        assert_eq!(u2.edges_left_union, vec![Edge::of(0, 1)]);
+        assert!(!w.edge_in_union(Edge::of(0, 1)));
+        assert_eq!(w.union_degree(NodeId::new(0)), 0);
     }
 
     #[test]
@@ -928,59 +873,23 @@ mod tests {
             g(6, &[(1, 2), (3, 4), (0, 1)]),
             g(6, &[(1, 2)]),
         ];
-        for gr in &seq {
+        for (r, gr) in seq.iter().enumerate() {
             w.push(gr);
-            assert_eq!(
-                w.intersection_graph().edge_vec(),
-                w.intersection_graph_bruteforce().edge_vec()
-            );
-            assert_eq!(
-                w.union_graph().edge_vec(),
-                w.union_graph_bruteforce().edge_vec()
-            );
+            let (inter, union) = fold_window(&seq[..=r], 3);
+            assert_eq!(w.intersection_graph().edge_vec(), inter.edge_vec());
+            assert_eq!(w.union_graph().edge_vec(), union.edge_vec());
         }
     }
 
     #[test]
-    fn locally_static_detection() {
-        let mut w = GraphWindow::new(5, 3);
-        // Node 0's 1-neighborhood {0,1} stays identical; node 3-4 edge churns.
-        w.push(&g(5, &[(0, 1), (3, 4)]));
-        w.push(&g(5, &[(0, 1)]));
-        w.push(&g(5, &[(0, 1), (3, 4)]));
-        assert!(w.locally_static(NodeId::new(0), 1));
-        assert!(!w.locally_static(NodeId::new(3), 1));
-        // 2-neighborhood of 0 is {0,1} (nothing else attached), still static.
-        assert!(w.locally_static(NodeId::new(0), 2));
-    }
-
-    #[test]
-    fn ago_indexing() {
+    fn current_round_counts_pushes() {
         let mut w = GraphWindow::new(3, 3);
-        let g0 = g(3, &[(0, 1)]);
-        let g1 = g(3, &[(1, 2)]);
-        w.push(&g0);
-        w.push(&g1);
-        assert_eq!(w.ago(0).unwrap().edge_vec(), g1.edge_vec());
-        assert_eq!(w.ago(1).unwrap().edge_vec(), g0.edge_vec());
-        assert!(w.ago(2).is_none());
+        assert!(w.is_empty());
+        assert_eq!(w.current_round(), None);
+        w.push(&g(3, &[(0, 1)]));
+        w.push(&g(3, &[(1, 2)]));
         assert_eq!(w.current_round(), Some(1));
-        assert_eq!(w.oldest().unwrap().edge_vec(), g0.edge_vec());
-    }
-
-    #[test]
-    fn ago_reconstructs_activity() {
-        let mut w = GraphWindow::new(4, 3);
-        let mut g0 = Graph::new_all_asleep(4);
-        g0.insert_edge(NodeId::new(0), NodeId::new(1));
-        w.push(&g0);
-        let mut g1 = g0.clone();
-        g1.activate(NodeId::new(2));
-        g1.deactivate(NodeId::new(0));
-        w.push(&g1);
-        let back = w.ago(1).unwrap();
-        assert_eq!(back, g0);
-        assert!(w.ago(0).unwrap() == g1);
+        assert_eq!(w.len(), 2);
     }
 
     #[test]
@@ -989,8 +898,7 @@ mod tests {
         let _ = GraphWindow::new(3, 0);
     }
 
-    /// Applies a [`WindowUpdate`] to shadow copies of the window graphs —
-    /// exactly what the incremental verifier does with its ledger.
+    /// Applies a [`WindowUpdate`] to shadow copies of the window graphs.
     fn patch_shadow(
         u: &WindowUpdate,
         inter: &mut Graph,
@@ -1019,6 +927,8 @@ mod tests {
 
     #[test]
     fn window_updates_patch_shadow_graphs() {
+        // From round 0 on, shadows patched only from the update lists stay
+        // equal to the materialized window graphs and to brute force.
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
         let n = 9;
@@ -1028,6 +938,7 @@ mod tests {
             let mut union = Graph::new_all_asleep(n);
             let mut vcap = std::collections::BTreeSet::new();
             let mut cur = Graph::new_all_asleep(n);
+            let mut pushed = Vec::new();
             for _ in 0..6 {
                 if rng.gen_bool(0.8) {
                     cur.activate(NodeId::new(rng.gen_range(0..n)));
@@ -1046,22 +957,14 @@ mod tests {
                 if rng.gen_bool(0.3) {
                     let v = NodeId::new(rng.gen_range(0..n));
                     if cur.is_active(v) {
-                        for u in cur.neighbors_vec(v) {
-                            cur.remove_edge(v, u);
-                        }
                         cur.deactivate(v);
                     } else {
                         cur.activate(v);
                     }
                 }
                 let update = w.push(&cur);
-                if update.initial {
-                    inter = w.intersection_graph();
-                    union = w.union_graph();
-                    vcap = w.intersection_nodes().into_iter().collect();
-                } else {
-                    patch_shadow(&update, &mut inter, &mut union, &mut vcap);
-                }
+                pushed.push(cur.clone());
+                patch_shadow(&update, &mut inter, &mut union, &mut vcap);
                 assert_eq!(
                     inter.edge_vec(),
                     w.intersection_graph().edge_vec(),
@@ -1072,9 +975,14 @@ mod tests {
                     w.union_graph().edge_vec(),
                     "T={t} round={round} union diverged"
                 );
+                let (bf_inter, bf_union) = fold_window(&pushed, t);
+                assert_eq!(inter.edge_vec(), bf_inter.edge_vec(), "T={t} round={round}");
+                assert_eq!(union.edge_vec(), bf_union.edge_vec(), "T={t} round={round}");
                 let want: std::collections::BTreeSet<NodeId> =
                     w.intersection_nodes().into_iter().collect();
+                let bf_vcap: std::collections::BTreeSet<NodeId> = bf_inter.active_nodes().collect();
                 assert_eq!(vcap, want, "T={t} round={round} V^∩T diverged");
+                assert_eq!(vcap, bf_vcap, "T={t} round={round} V^∩T vs brute force");
             }
         }
     }
@@ -1082,14 +990,15 @@ mod tests {
     #[test]
     fn incidence_degree_queries_match_full_scans() {
         // Randomized runs across window sizes: after every push, the
-        // incidence-list degree queries and `locally_static` must agree
-        // with the original full-edge-map scans for every node.
+        // incidence-list degree queries must agree with full-edge-map scans
+        // for every node, and the union neighbourhood with brute force.
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let n = 10;
         for t in [1usize, 2, 3, 5] {
             let mut w = GraphWindow::new(n, t);
             let mut cur = Graph::new(n);
+            let mut pushed = Vec::new();
             for round in 0..50 {
                 for _ in 0..rng.gen_range(0..5) {
                     let a = rng.gen_range(0..n);
@@ -1099,6 +1008,8 @@ mod tests {
                     }
                 }
                 w.push(&cur);
+                pushed.push(cur.clone());
+                let (_, bf_union) = fold_window(&pushed, t);
                 for i in 0..n {
                     let v = NodeId::new(i);
                     assert_eq!(
@@ -1111,13 +1022,9 @@ mod tests {
                         w.intersection_degree_scan(v),
                         "T={t} round={round} intersection_degree({i})"
                     );
-                    for alpha in [0usize, 1, 2] {
-                        assert_eq!(
-                            w.locally_static(v, alpha),
-                            w.locally_static_scan(v, alpha),
-                            "T={t} round={round} locally_static({i}, {alpha})"
-                        );
-                    }
+                    let mut nbrs = w.union_neighbors(v).to_vec();
+                    nbrs.sort_unstable();
+                    assert_eq!(nbrs, bf_union.neighbors_vec(v), "T={t} round={round}");
                 }
             }
         }
@@ -1161,7 +1068,7 @@ mod tests {
         let mut g0 = Graph::new_all_asleep(3);
         g0.activate(NodeId::new(0));
         let u0 = w.push(&g0);
-        assert!(u0.initial);
+        assert_eq!(u0.woken, vec![NodeId::new(0)]);
         assert_eq!(u0.nodes_joined_intersection, vec![NodeId::new(0)]);
         let mut d1 = GraphDelta::new();
         d1.wake(NodeId::new(2));

@@ -153,9 +153,10 @@ const COMMON_METHODS: [&str; 40] = [
 ];
 
 /// Keywords that may directly precede `[` without the bracket being an
-/// index expression (`return [a, b]`).
-const NON_INDEX_KEYWORDS: [&str; 8] = [
-    "return", "break", "in", "if", "else", "match", "while", "loop",
+/// index expression: array expressions (`return [a, b]`) and slice
+/// patterns (`let [a, b] = ..`, `for [a, b] in ..`), which cannot panic.
+const NON_INDEX_KEYWORDS: [&str; 10] = [
+    "return", "break", "in", "if", "else", "match", "while", "loop", "let", "for",
 ];
 
 /// One panic site inside a function body.

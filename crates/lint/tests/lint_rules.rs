@@ -131,6 +131,14 @@ fn panic_reachability_fires_through_call_chain() {
 }
 
 #[test]
+fn slice_patterns_are_not_raw_indexing() {
+    // `let [a, b] = ..` and `for [a, b] in ..` are patterns, not index
+    // expressions; only the real `v[i]` at line 24 is a panic site.
+    let r = lint_fixture("slice_pattern", &Allowlist::default());
+    assert_single(&r, "panic-reachability", "crates/foo/src/lib.rs", 24);
+}
+
+#[test]
 fn panic_indexing_directive_goes_stale() {
     // A burn-down entry for a file with no raw indexing left must itself
     // fail the lint — the allowlist only shrinks.

@@ -6,8 +6,10 @@
 //! [`RoundObserver`] receives a borrowed [`RoundView`] right after each
 //! round executes, so metrics, T-dynamic verification, and trace recording
 //! run *while* the execution streams by, each keeping only the state it
-//! actually needs (an `O(window)` ring of graphs for verification, `O(n)`
-//! for churn tracking, deltas for trace recording).
+//! actually needs (run-length window state for verification, `O(n)` for
+//! churn tracking, deltas for trace recording). Every round, round 0
+//! included, arrives with its topology change as a delta
+//! ([`RoundView::delta`]), so no built-in observer converts a graph.
 //!
 //! Built-in observers:
 //!
@@ -39,11 +41,17 @@ pub struct RoundView<'a, O> {
     /// The effective communication graph `G_r` over `V_r` (shared snapshot;
     /// clone the `Arc` to retain it beyond the callback).
     pub graph: &'a Arc<CsrGraph>,
-    /// The change of the effective graph relative to the previous round:
-    /// `None` exactly on round 0, `Some` on every later round (still valid
-    /// when a dense delta fell back to a full CSR rebuild). Delta-aware
-    /// observers — trace recording, window maintenance — consume this
-    /// instead of diffing or converting whole graphs.
+    /// The change of the effective graph relative to the previous round —
+    /// `Some` in every round the `Scenario` runner produces (still valid
+    /// when a dense delta fell back to a full CSR rebuild). Round 0's delta
+    /// is relative to the all-asleep graph, the form of a delta log's
+    /// record 0. Delta-aware observers — trace recording, window
+    /// maintenance, verification — consume this instead of diffing or
+    /// converting whole graphs; the built-in ones read a hand-built view's
+    /// `None` as an unchanged topology.
+    ///
+    /// The field stays an `Option` only because the tracked benchmark
+    /// (`perfbench/`) matches on it.
     pub delta: Option<&'a GraphDelta>,
     /// Output of every node at the end of the round (`None` = still asleep).
     pub outputs: &'a [Option<O>],
@@ -67,12 +75,13 @@ pub struct RoundView<'a, O> {
 }
 
 impl<O> RoundView<'_, O> {
-    /// The round's communication graph in mutable-adjacency [`Graph`] form
-    /// (what [`dynnet_graph::GraphWindow::push`] and most checkers take).
+    /// The round's communication graph in mutable-adjacency [`Graph`] form,
+    /// for checkers that take a [`Graph`]. An `O(n + |E|)` conversion of the
+    /// CSR snapshot: no built-in observer calls it.
     ///
-    /// The conversion from the CSR snapshot is done lazily on first call and
-    /// shared across all observers of the round, so any number of observers
-    /// cost one conversion total — and rounds nobody inspects cost none.
+    /// The conversion is done lazily on first call and shared across all
+    /// observers of the round, so any number of observers cost one
+    /// conversion total — and rounds nobody inspects cost none.
     pub fn current_graph(&self) -> &Graph {
         self.graph_cell.get_or_init(|| self.graph.to_graph())
     }
@@ -271,14 +280,17 @@ impl<O: Clone> Default for TraceRecorder<O> {
 
 impl<O: Clone> RoundObserver<O> for TraceRecorder<O> {
     fn on_round(&mut self, view: &RoundView<'_, O>) {
-        match (&mut self.trace, view.delta) {
-            // Delta path: record the handed delta as-is — no graph
-            // conversion, no `GraphDelta::between` recomputation.
-            (Some(t), Some(d)) => t.push_delta(d.clone()),
-            // A view without a delta mid-trace (the runner only sends
-            // those in round 0): fall back to diffing.
-            (Some(t), None) => t.push(view.current_graph()),
-            (None, _) => self.trace = Some(DynamicGraphTrace::new(view.current_graph().clone())),
+        let no_change = GraphDelta::new();
+        let delta = view.delta.unwrap_or(&no_change);
+        match &mut self.trace {
+            // Record the handed delta as-is — no graph conversion, no
+            // `GraphDelta::between` recomputation.
+            Some(t) => t.push_delta(delta.clone()),
+            // Round 0's delta is relative to the all-asleep graph.
+            None => {
+                let empty = Graph::new_all_asleep(view.graph.num_nodes());
+                self.trace = Some(DynamicGraphTrace::new(delta.materialize(&empty)));
+            }
         }
         if self.record_outputs {
             self.rounds.push(RoundRecord {
@@ -296,11 +308,10 @@ impl<O: Clone> RoundObserver<O> for TraceRecorder<O> {
 ///
 /// Rounds append one framed [`GraphDelta`] record each to the log at the
 /// given path (see [`dynnet_graph::codec`] for the wire format): record 0
-/// is the initial state expressed as a delta from the all-asleep empty
+/// is round 0's delta, the initial state relative to the all-asleep empty
 /// graph, so `dynnet_graph::codec::replay_log` reconstructs the final
-/// recorded graph without any side information. A small mirror [`Graph`]
-/// (`O(n + m)`, *not* `O(rounds)`) tracks the current topology so a round
-/// that arrives without a delta past round 0 can be diffed.
+/// recorded graph without any side information. The recorder keeps no
+/// graph: every round's record is the delta the round hands it.
 ///
 /// IO and encode failures are sticky: the first [`CodecError`] stops the
 /// recording and is surfaced by [`DeltaLogRecorder::close`] — observers
@@ -313,7 +324,6 @@ impl<O: Clone> RoundObserver<O> for TraceRecorder<O> {
 pub struct DeltaLogRecorder {
     path: std::path::PathBuf,
     writer: Option<DeltaLogWriter>,
-    mirror: Option<Graph>,
     rounds: u64,
     error: Option<CodecError>,
 }
@@ -326,7 +336,6 @@ impl DeltaLogRecorder {
         DeltaLogRecorder {
             path: path.into(),
             writer: None,
-            mirror: None,
             rounds: 0,
             error: None,
         }
@@ -337,32 +346,9 @@ impl DeltaLogRecorder {
         self.rounds
     }
 
-    /// The graph after the last recorded round (the mirror the log's
-    /// replay must match), or `None` before the first round.
-    pub fn final_graph(&self) -> Option<&Graph> {
-        self.mirror.as_ref()
-    }
-
     /// Current write-side statistics, if the log was opened.
     pub fn stats(&self) -> Option<LogStats> {
         self.writer.as_ref().map(DeltaLogWriter::stats)
-    }
-
-    fn append(&mut self, mut delta: GraphDelta) {
-        if self.error.is_some() {
-            return;
-        }
-        delta.normalize();
-        if let Some(w) = &mut self.writer {
-            if let Err(e) = w.append(&delta) {
-                self.error = Some(e);
-                return;
-            }
-        }
-        if let Some(m) = &mut self.mirror {
-            delta.apply(m);
-        }
-        self.rounds += 1;
     }
 
     /// Finishes the log: flushes, fsyncs, stamps the `store.*` counters,
@@ -389,34 +375,23 @@ impl<O> RoundObserver<O> for DeltaLogRecorder {
         if self.error.is_some() {
             return;
         }
-        if self.writer.is_none() {
-            // First round: open the log and write the initial state as a
-            // delta from the all-asleep empty graph.
-            let g = view.current_graph().clone();
-            match DeltaLogWriter::create(&self.path, g.num_nodes()) {
-                Ok(w) => self.writer = Some(w),
+        // The log is opened on the first round, when the universe size is
+        // known; that round's delta (from the all-asleep graph) is record 0.
+        let writer = match &mut self.writer {
+            Some(w) => w,
+            None => match DeltaLogWriter::create(&self.path, view.graph.num_nodes()) {
+                Ok(w) => self.writer.insert(w),
                 Err(e) => {
                     self.error = Some(e);
                     return;
                 }
-            }
-            let initial = GraphDelta::between(&Graph::new_all_asleep(g.num_nodes()), &g);
-            self.mirror = Some(Graph::new_all_asleep(g.num_nodes()));
-            self.append(initial);
-            return;
-        }
-        match view.delta {
-            // Delta path: the handed delta applies to the mirror exactly
-            // as it applied to the simulator's graph.
-            Some(d) => self.append(d.clone()),
-            // A view without a delta mid-trace: diff against the mirror.
-            None => {
-                let delta = match &self.mirror {
-                    Some(m) => GraphDelta::between(m, view.current_graph()),
-                    None => GraphDelta::default(),
-                };
-                self.append(delta);
-            }
+            },
+        };
+        let mut delta = view.delta.cloned().unwrap_or_default();
+        delta.normalize();
+        match writer.append(&delta) {
+            Ok(()) => self.rounds += 1,
+            Err(e) => self.error = Some(e),
         }
     }
 }
@@ -507,7 +482,8 @@ impl<O: Clone + PartialEq> RoundObserver<O> for ChurnStats<O> {
 
 /// Mirrors per-round simulator signals into the unified metric registry
 /// ([`dynnet_obs::registry()`]): `sim.rounds`, `sim.output_churn`,
-/// `sim.delta_edges`, `sim.newly_awake` accumulate across the execution,
+/// `sim.delta_edges`, `sim.newly_awake` accumulate across the execution
+/// (`sim.delta_edges` includes round 0's delta, i.e. the initial edges),
 /// `sim.num_awake` is a gauge of the latest round. At
 /// [`RoundObserver::finish`] it additionally stamps the worker-pool totals
 /// (`pool.*`, from [`rayon::pool_stats`]) and the trace-buffer state
@@ -659,6 +635,7 @@ mod tests {
         obs: &mut dyn RoundObserver<u32>,
         round: u64,
         graph: &Arc<CsrGraph>,
+        delta: &GraphDelta,
         outputs: &[Option<u32>],
         newly_awake: &[NodeId],
     ) {
@@ -666,7 +643,7 @@ mod tests {
         obs.on_round(&RoundView {
             round,
             graph,
-            delta: None,
+            delta: Some(delta),
             outputs,
             changed_outputs: None,
             newly_awake,
@@ -677,20 +654,28 @@ mod tests {
 
     #[test]
     fn trace_recorder_builds_record() {
-        let g0 = Arc::new(CsrGraph::from_graph(&Graph::from_edges(
-            3,
-            [Edge::of(0, 1)],
-        )));
-        let g1 = Arc::new(CsrGraph::from_graph(&Graph::from_edges(
-            3,
-            [Edge::of(1, 2)],
-        )));
+        let g0 = Graph::from_edges(3, [Edge::of(0, 1)]);
+        let g1 = Graph::from_edges(3, [Edge::of(1, 2)]);
+        let d0 = GraphDelta::between(&Graph::new_all_asleep(3), &g0);
+        let d1 = GraphDelta::between(&g0, &g1);
+        let (c0, c1) = (
+            Arc::new(CsrGraph::from_graph(&g0)),
+            Arc::new(CsrGraph::from_graph(&g1)),
+        );
         let mut rec = TraceRecorder::new();
-        send_round(&mut rec, 0, &g0, &[Some(1), None, None], &[NodeId::new(0)]);
+        send_round(
+            &mut rec,
+            0,
+            &c0,
+            &d0,
+            &[Some(1), None, None],
+            &[NodeId::new(0)],
+        );
         send_round(
             &mut rec,
             1,
-            &g1,
+            &c1,
+            &d1,
             &[Some(1), Some(2), None],
             &[NodeId::new(1)],
         );
@@ -698,6 +683,7 @@ mod tests {
         assert_eq!(rec.num_rounds(), 2);
         let record = rec.into_record();
         assert_eq!(record.num_rounds(), 2);
+        assert_eq!(record.graph_at(0), g0);
         assert_eq!(record.graph_at(1).edge_vec(), vec![Edge::of(1, 2)]);
         assert_eq!(record.outputs_at(1)[1], Some(2));
         assert_eq!(record.newly_awake_at(0), &[NodeId::new(0)]);
@@ -706,25 +692,26 @@ mod tests {
 
     #[test]
     fn graphs_only_skips_reports() {
-        let g0 = Arc::new(CsrGraph::from_graph(&Graph::from_edges(
-            2,
-            [Edge::of(0, 1)],
-        )));
+        let g0 = Graph::from_edges(2, [Edge::of(0, 1)]);
+        let d0 = GraphDelta::between(&Graph::new_all_asleep(2), &g0);
+        let c0 = Arc::new(CsrGraph::from_graph(&g0));
         let mut rec: TraceRecorder<u32> = TraceRecorder::graphs_only();
-        send_round(&mut rec, 0, &g0, &[Some(1), Some(2)], &[]);
+        send_round(&mut rec, 0, &c0, &d0, &[Some(1), Some(2)], &[]);
         let record = rec.into_record();
         assert_eq!(record.trace.num_rounds(), 1);
+        assert_eq!(record.graph_at(0), g0);
         assert!(record.rounds.is_empty());
     }
 
     #[test]
     fn churn_stats_counts_changes() {
         let g = Arc::new(CsrGraph::from_graph(&Graph::new(2)));
+        let none = GraphDelta::new();
         let mut churn = ChurnStats::new();
-        send_round(&mut churn, 0, &g, &[Some(0), Some(0)], &[]);
-        send_round(&mut churn, 1, &g, &[Some(1), Some(0)], &[]);
-        send_round(&mut churn, 2, &g, &[Some(1), Some(2)], &[]);
-        send_round(&mut churn, 3, &g, &[Some(1), Some(2)], &[]);
+        send_round(&mut churn, 0, &g, &none, &[Some(0), Some(0)], &[]);
+        send_round(&mut churn, 1, &g, &none, &[Some(1), Some(0)], &[]);
+        send_round(&mut churn, 2, &g, &none, &[Some(1), Some(2)], &[]);
+        send_round(&mut churn, 3, &g, &none, &[Some(1), Some(2)], &[]);
         assert_eq!(churn.series(), &[0, 1, 1, 0]);
         assert_eq!(churn.total_from(0), 2);
         assert_eq!(churn.total_from(2), 1);
@@ -737,11 +724,19 @@ mod tests {
     #[test]
     fn convergence_tracker_latencies() {
         let g = Arc::new(CsrGraph::from_graph(&Graph::new(2)));
+        let none = GraphDelta::new();
         let mut conv = ConvergenceTracker::new(|&o: &u32| o > 0);
-        send_round(&mut conv, 0, &g, &[Some(0), None], &[NodeId::new(0)]);
-        send_round(&mut conv, 1, &g, &[Some(5), Some(0)], &[NodeId::new(1)]);
+        send_round(&mut conv, 0, &g, &none, &[Some(0), None], &[NodeId::new(0)]);
+        send_round(
+            &mut conv,
+            1,
+            &g,
+            &none,
+            &[Some(5), Some(0)],
+            &[NodeId::new(1)],
+        );
         assert_eq!(conv.all_done_round(), None);
-        send_round(&mut conv, 2, &g, &[Some(5), Some(7)], &[]);
+        send_round(&mut conv, 2, &g, &none, &[Some(5), Some(7)], &[]);
         assert_eq!(conv.wake_round(NodeId::new(1)), Some(1));
         assert_eq!(conv.decided_round(NodeId::new(0)), Some(1));
         assert_eq!(conv.decided_round(NodeId::new(1)), Some(2));

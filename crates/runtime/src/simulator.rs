@@ -30,9 +30,10 @@
 //! [`SimConfig::parallel_threshold`].
 //!
 //! [`Simulator::step_delta`] is the only round entry point. Round 0 builds
-//! the effective (awake-restricted) CSR from the whole graph; every later
-//! round patches that persistent CSR with the round's [`GraphDelta`] in
-//! `O(|δ|)`.
+//! the effective (awake-restricted) CSR from the whole graph and reports it
+//! as a delta from the all-asleep graph; every later round patches that
+//! persistent CSR with the round's [`GraphDelta`] in `O(|δ|)`. Every round
+//! therefore hands its observers a delta.
 
 use crate::algorithm::{AlgorithmFactory, NodeAlgorithm, NodeContext};
 use crate::node_state::AwakeSet;
@@ -105,11 +106,12 @@ pub struct StepSummary {
     pub round: u64,
     /// Snapshot of the effective communication graph `G_r` over `V_r`.
     pub graph: Arc<CsrGraph>,
-    /// The change of the *effective* graph relative to the previous round:
-    /// `None` exactly in round 0, which has no previous-round basis, and
-    /// `Some` in every later round (valid even when a dense delta fell back
-    /// to a full CSR rebuild).
-    pub delta: Option<GraphDelta>,
+    /// The change of the *effective* graph relative to the previous round
+    /// (valid even when a dense delta fell back to a full CSR rebuild).
+    /// Round 0's is relative to the all-asleep graph: its active nodes are
+    /// woken and its edges inserted, in canonical order — the form of
+    /// record 0 of a delta log (`dynnet_graph::codec`).
+    pub delta: GraphDelta,
     /// Nodes that woke up in this round.
     pub newly_awake: Vec<NodeId>,
     /// Number of awake nodes at the end of the round.
@@ -265,8 +267,9 @@ where
     /// delivery.
     ///
     /// In round 0 `delta` is not consulted: the effective CSR is built from
-    /// `graph` directly and [`StepSummary::delta`] is `None` (callers pass
-    /// `GraphDelta::new()`). In every later round the persistent effective
+    /// `graph` directly (callers pass `GraphDelta::new()`), and
+    /// [`StepSummary::delta`] is that CSR as a delta from the all-asleep
+    /// graph. In every later round the persistent effective
     /// CSR is patched in `O(|δ|)`: the adversary's delta is filtered to
     /// awake endpoints, the edges of nodes waking this round are folded in,
     /// and the result is applied in place — no `Graph` clone, no full CSR
@@ -281,11 +284,16 @@ where
         };
 
         if !self.effective_valid {
-            {
+            let initial = {
                 let _span = dynnet_obs::phase_span("round", "csr_rebuild");
                 self.rebuild_effective(graph);
-            }
-            return self.finish_round(round, newly_awake, None);
+                GraphDelta {
+                    inserted: self.effective.edges().collect(),
+                    woken: self.effective.active_nodes().collect(),
+                    ..GraphDelta::default()
+                }
+            };
+            return self.finish_round(round, newly_awake, initial);
         }
 
         let mut patch_span = dynnet_obs::phase_span("round", "csr_patch");
@@ -369,7 +377,7 @@ where
             CsrApplyOutcome::Rebuilt => self.stats.full_csr_builds += 1,
         }
         drop(patch_span);
-        self.finish_round(round, newly_awake, Some(eff))
+        self.finish_round(round, newly_awake, eff)
     }
 
     /// Wake-up phase: a node wakes in the first round where it is active in
@@ -420,7 +428,7 @@ where
         &mut self,
         round: u64,
         newly_awake: Vec<NodeId>,
-        delta: Option<GraphDelta>,
+        delta: GraphDelta,
     ) -> StepSummary {
         let csr = Arc::clone(&self.effective);
         for &v in &newly_awake {

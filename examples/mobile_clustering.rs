@@ -107,4 +107,9 @@ fn main() {
     println!(
         "every node is always a cluster head or dominated by one within the last T = {window} rounds"
     );
+    // A failed verdict fails the run, so scripts and CI can rely on the
+    // exit status.
+    if !summary.all_valid() {
+        std::process::exit(1);
+    }
 }

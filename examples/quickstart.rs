@@ -44,11 +44,12 @@ fn main() {
     // 4. The headline guarantee: from round T-1 on, every round's output is
     //    a T-dynamic coloring (proper on G^∩T, degree-bounded on G^∪T).
     let summary = verifier.summary();
+    let all_valid = summary.all_valid();
     println!(
         "rounds checked: {}, valid: {} ({})",
         summary.rounds_checked,
         summary.rounds_valid,
-        if summary.all_valid() {
+        if all_valid {
             "all rounds valid ✓"
         } else {
             "violations found ✗"
@@ -78,4 +79,10 @@ fn main() {
         rounds,
         trace.total_edge_changes()
     );
+
+    // A failed verdict fails the run, so scripts and CI can rely on the
+    // exit status.
+    if !all_valid {
+        std::process::exit(1);
+    }
 }

@@ -32,7 +32,7 @@ impl RoundObserver<ColorOutput> for FrameSampler {
         if view.round < self.from || !(view.round - self.from).is_multiple_of(self.stride) {
             return;
         }
-        let g = view.current_graph();
+        let g: &CsrGraph = view.graph;
         let colors: Vec<ColorOutput> = view
             .outputs
             .iter()

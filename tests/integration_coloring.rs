@@ -201,7 +201,7 @@ fn tdma_application_has_collision_free_frames_once_stable() {
         .iter()
         .map(|o| o.unwrap_or(ColorOutput::Undecided))
         .collect();
-    let frame = tdma::run_frame(&g, &out);
+    let frame = tdma::run_frame(&CsrGraph::from(&g), &out);
     assert_eq!(frame.collided, 0);
     assert_eq!(frame.silent, 0);
     assert!(frame.frame_length <= g.max_degree() + 1);

@@ -47,8 +47,9 @@ fn flood(v: NodeId) -> MaxFlood {
 /// * the incremental effective CSR equals the CSR built from scratch from
 ///   the adversary graph over the awake nodes,
 /// * both executions publish the same outputs,
-/// * `StepSummary::delta` is `None` exactly in round 0 (the verifier seeds
-///   from that round's view), and
+/// * every round's `StepSummary::delta`, applied to the previous round's
+///   effective graph, gives that CSR — round 0's applied to the all-asleep
+///   graph (observers such as the verifier see only these deltas), and
 /// * for oblivious adversaries (`next_graph` given), the patched graph
 ///   equals the adversary's whole-graph `next_graph` sequence.
 fn assert_delta_path_equivalent<Adv, W>(
@@ -78,6 +79,8 @@ fn assert_delta_path_equivalent<Adv, W>(
     // Whole-graph oracle of oblivious adversaries.
     let mut oracle = make_adversary();
     let mut oracle_graph = oracle.initial_graph();
+    // The effective graph as delta-only observers reconstruct it.
+    let mut from_deltas = Graph::new_all_asleep(n);
     for r in 0..rounds as u64 {
         let summary = if r == 0 {
             sim.step_delta(&graph, &GraphDelta::new())
@@ -89,12 +92,13 @@ fn assert_delta_path_equivalent<Adv, W>(
         let ref_summary = ref_sim.step_delta(&graph, &GraphDelta::between(&ref_prev, &graph));
         ref_prev.clone_from(&graph);
 
-        assert_eq!(
-            summary.delta.is_none(),
-            r == 0,
-            "{name}: the effective delta must be None exactly in round 0 (round {r})"
-        );
         let scratch = CsrGraph::from_graph_filtered(&graph, |v| sim.is_awake(v));
+        summary.delta.apply(&mut from_deltas);
+        assert_eq!(
+            CsrGraph::from_graph(&from_deltas),
+            scratch,
+            "{name}: the applied effective deltas diverged from the CSR in round {r}"
+        );
         assert_eq!(
             *summary.graph, scratch,
             "{name}: incremental CSR diverged from the from-scratch CSR in round {r}"

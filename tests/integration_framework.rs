@@ -148,22 +148,29 @@ fn sequential_and_parallel_execution_produce_identical_results() {
 #[test]
 fn window_checker_agrees_with_bruteforce_window_views() {
     // The T-dynamic checker is only as good as the window maintenance; spot
-    // check the two window views against brute force on an adversarial run.
+    // check the two window views on an adversarial run against
+    // `Graph::intersection` / `Graph::union` folded over the last T graphs.
     let n = 20;
+    let t = 6;
     let footprint = generators::erdos_renyi_avg_degree(n, 4.0, &mut experiment_rng(3, "win"));
     let mut adv = RateChurnAdversary::new(footprint, 3, 3, 17);
     let mut g = Adversary::initial_graph(&mut adv);
-    let mut w = GraphWindow::new(n, 6);
+    let mut w = GraphWindow::new(n, t);
+    let mut pushed: Vec<Graph> = Vec::new();
     for r in 1..40u64 {
         w.push(&g);
-        assert_eq!(
-            w.intersection_graph().edge_vec(),
-            w.intersection_graph_bruteforce().edge_vec()
-        );
-        assert_eq!(
-            w.union_graph().edge_vec(),
-            w.union_graph_bruteforce().edge_vec()
-        );
+        pushed.push(g.clone());
+        let last = &pushed[pushed.len().saturating_sub(t)..];
+        let inter = last
+            .iter()
+            .skip(1)
+            .fold(last[0].clone(), |acc, x| acc.intersection(x));
+        let union = last
+            .iter()
+            .skip(1)
+            .fold(last[0].clone(), |acc, x| acc.union(x));
+        assert_eq!(w.intersection_graph().edge_vec(), inter.edge_vec());
+        assert_eq!(w.union_graph().edge_vec(), union.edge_vec());
         g = Adversary::next_graph(&mut adv, r, &g);
     }
 }

@@ -30,7 +30,7 @@ fn node_churn_workload_keeps_t_dynamic_mis() {
 
 /// Streaming observer: asserts, round by round, that no two adjacent nodes of
 /// the window intersection graph are both in the MIS (the deterministic
-/// packing half of Corollary 1.3). Holds only an O(window) graph ring.
+/// packing half of Corollary 1.3). Holds only the window's run-length state.
 struct IndependenceOnIntersection {
     window: GraphWindow,
 }

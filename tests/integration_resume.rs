@@ -188,12 +188,13 @@ fn delta_log_recorder_memory_is_bounded_and_replays() {
     let path = std::env::temp_dir().join(format!("dynnet-resume-{}.dlog", std::process::id()));
     let g = generators::erdos_renyi_avg_degree(n, 4.0, &mut experiment_rng(11, "dlog"));
     let mut recorder = DeltaLogRecorder::create(&path);
+    let mut trace = TraceRecorder::graphs_only();
     Scenario::new(n)
         .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
         .adversary(FlipChurnAdversary::new(&g, 0.2, 77))
         .seed(11)
         .rounds(rounds)
-        .run(&mut [&mut recorder]);
+        .run(&mut [&mut recorder, &mut trace]);
     assert_eq!(recorder.num_rounds() as usize, rounds);
 
     // O(1) in rounds: the recorder streams to disk through a fixed-size
@@ -211,10 +212,10 @@ fn delta_log_recorder_memory_is_bounded_and_replays() {
         "trace should span many buffer flushes"
     );
 
-    let final_graph = recorder
-        .final_graph()
-        .expect("final graph after 100k rounds")
-        .clone();
+    let final_graph = trace
+        .into_trace()
+        .and_then(|t| t.iter().last())
+        .expect("final graph after 100k rounds");
     recorder.close().unwrap();
     // The on-disk log replays to the exact final graph.
     assert_eq!(replay_log(&path).unwrap(), final_graph);
